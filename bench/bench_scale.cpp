@@ -161,7 +161,8 @@ int main(int argc, char** argv) {
   prob.alpha = scenario.alpha;
   const auto plan = ctrl::solve_deployment(prob);
   if (!plan.feasible) {
-    std::fprintf(stderr, "no feasible deployment for the scaling scenario\n");
+    std::fprintf(stderr, "no deployment for the scaling scenario: %s\n",
+                 plan.failure().c_str());
     return 1;
   }
 
@@ -200,7 +201,8 @@ int main(int argc, char** argv) {
   agg_prob.alpha = agg.alpha;
   const auto agg_plan = ctrl::solve_deployment(agg_prob);
   if (!agg_plan.feasible) {
-    std::fprintf(stderr, "no feasible deployment for the aggregate scenario\n");
+    std::fprintf(stderr, "no deployment for the aggregate scenario: %s\n",
+                 agg_plan.failure().c_str());
     return 1;
   }
   const std::size_t agg_workers = netsim::WorkerPool::hardware_workers();

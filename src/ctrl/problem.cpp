@@ -296,6 +296,15 @@ int DeploymentPlan::total_vnfs() const {
   return sum;
 }
 
+std::string DeploymentPlan::failure() const {
+  if (feasible) return {};
+  if (relax_status != lp::Status::kOptimal) {
+    return std::string("LP relaxation ") + lp::status_name(relax_status);
+  }
+  return std::string("LP with rounded VNF counts ") +
+         lp::status_name(final_status);
+}
+
 std::optional<std::size_t> DeploymentPlan::session_index(
     coding::SessionId id) const {
   for (std::size_t i = 0; i < session_ids.size(); ++i) {

@@ -23,6 +23,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "coding/types.hpp"
@@ -77,6 +78,9 @@ struct DeploymentPlan {
 
   [[nodiscard]] double total_throughput_mbps() const;
   [[nodiscard]] int total_vnfs() const;
+  /// Why there is no plan, e.g. "LP relaxation stopped at the iteration
+  /// limit"; empty when feasible.
+  [[nodiscard]] std::string failure() const;
   /// Index of a session id within this plan, or nullopt.
   [[nodiscard]] std::optional<std::size_t> session_index(
       coding::SessionId id) const;

@@ -16,46 +16,67 @@ constexpr double kTolCost = 1e-9;
 struct Tableau {
   int m = 0;
   int ncols = 0;
-  std::vector<double> a;   // row-major, m * (ncols + 1)
-  std::vector<int> basis;  // basic column per row
+  int active = 0;            // columns [0, active) are priced and pivoted
+  std::vector<double> a;     // row-major, m * (ncols + 1)
+  std::vector<int> basis;    // basic column per row
   std::vector<double> cost;  // reduced-cost row, length ncols
   double objval = 0.0;
+  std::vector<int> rows;  // rows the next pivot updates
+  std::vector<int> nz;    // nonzero columns of the pivot row
 
-  double& at(int r, int c) { return a[static_cast<std::size_t>(r) * (ncols + 1) + c]; }
-  [[nodiscard]] double get(int r, int c) const {
-    return a[static_cast<std::size_t>(r) * (ncols + 1) + c];
+  double* row(int r) {
+    return a.data() + static_cast<std::size_t>(r) * (ncols + 1);
   }
-  double& rhs(int r) { return at(r, ncols); }
+  double& rhs(int r) { return row(r)[ncols]; }
 
-  void pivot(int pr, int pc) {
-    const double pv = at(pr, pc);
-    assert(std::abs(pv) > kTolPivot);
-    const double inv = 1.0 / pv;
-    for (int c = 0; c <= ncols; ++c) at(pr, c) *= inv;
-    at(pr, pc) = 1.0;  // fight rounding
+  /// Records in `rows` the rows whose entry in column c is at least
+  /// kTolPivot in magnitude: the only rows a pivot on c changes.
+  void collect_rows(int c) {
+    rows.clear();
     for (int r = 0; r < m; ++r) {
+      if (std::abs(row(r)[c]) >= kTolPivot) rows.push_back(r);
+    }
+  }
+
+  /// Pivots on (pr, pc), updating the rows in `rows` and the cost row
+  /// over the pivot row's nonzeros only. Every nonzero sees the same
+  /// operations in the same order as in a dense pivot (x - f * 0 == x),
+  /// and zeros are never scaled. The RHS is always updated, as in a dense
+  /// pivot: it becomes the answer, down to the sign of a zero.
+  void pivot(int pr, int pc) {
+    double* p = row(pr);
+    assert(std::abs(p[pc]) > kTolPivot);
+    const double inv = 1.0 / p[pc];
+    nz.clear();
+    for (int c = 0; c < active; ++c) {
+      if (p[c] != 0.0) {
+        p[c] *= inv;
+        nz.push_back(c);
+      }
+    }
+    p[ncols] *= inv;
+    p[pc] = 1.0;  // fight rounding
+    for (const int r : rows) {
       if (r == pr) continue;
-      const double f = at(r, pc);
-      if (std::abs(f) < kTolPivot) continue;
-      for (int c = 0; c <= ncols; ++c) at(r, c) -= f * at(pr, c);
-      at(r, pc) = 0.0;
+      double* q = row(r);
+      const double f = q[pc];
+      for (const int c : nz) q[c] -= f * p[c];
+      q[ncols] -= f * p[ncols];
+      q[pc] = 0.0;
     }
     const double fc = cost[static_cast<std::size_t>(pc)];
     if (std::abs(fc) > 0) {
-      for (int c = 0; c < ncols; ++c) {
-        cost[static_cast<std::size_t>(c)] -= fc * get(pr, c);
-      }
-      objval += fc * get(pr, ncols);
+      for (const int c : nz) cost[static_cast<std::size_t>(c)] -= fc * p[c];
+      objval += fc * p[ncols];
       cost[static_cast<std::size_t>(pc)] = 0.0;
     }
     basis[static_cast<std::size_t>(pr)] = pc;
   }
 };
 
-/// Runs the simplex loop (maximization) on the current cost row.
-/// `enterable[c]` masks which columns may enter the basis.
-Status run_simplex(Tableau& t, const std::vector<bool>& enterable,
-                   std::size_t& iters_left) {
+/// Runs the simplex loop (maximization) on the current cost row over the
+/// active columns.
+Status run_simplex(Tableau& t, std::size_t& iters_left) {
   int degenerate_streak = 0;
   while (iters_left > 0) {
     --iters_left;
@@ -64,8 +85,7 @@ Status run_simplex(Tableau& t, const std::vector<bool>& enterable,
     // Entering column: positive reduced cost.
     int pc = -1;
     double best = kTolCost;
-    for (int c = 0; c < t.ncols; ++c) {
-      if (!enterable[static_cast<std::size_t>(c)]) continue;
+    for (int c = 0; c < t.active; ++c) {
       const double rc = t.cost[static_cast<std::size_t>(c)];
       if (rc > best) {
         pc = c;
@@ -75,13 +95,14 @@ Status run_simplex(Tableau& t, const std::vector<bool>& enterable,
     }
     if (pc < 0) return Status::kOptimal;
 
-    // Ratio test.
+    // Ratio test over the rows the pivot will update.
+    t.collect_rows(pc);
     int pr = -1;
     double best_ratio = 0.0;
-    for (int r = 0; r < t.m; ++r) {
-      const double arc = t.get(r, pc);
+    for (const int r : t.rows) {
+      const double arc = t.row(r)[pc];
       if (arc <= kTolPivot) continue;
-      const double ratio = t.get(r, t.ncols) / arc;
+      const double ratio = t.rhs(r) / arc;
       if (pr < 0 || ratio < best_ratio - kTolPivot ||
           (std::abs(ratio - best_ratio) <= kTolPivot &&
            t.basis[static_cast<std::size_t>(r)] <
@@ -98,13 +119,33 @@ Status run_simplex(Tableau& t, const std::vector<bool>& enterable,
   return Status::kIterLimit;
 }
 
+/// The relation of a row once a negative right-hand side is negated.
+Rel normalized(Rel rel, double rhs) {
+  if (!(rhs < 0) || rel == Rel::kEq) return rel;
+  return rel == Rel::kLe ? Rel::kGe : Rel::kLe;
+}
+
 }  // namespace
 
-int Problem::add_var(double obj, double hi, std::string name) {
+const char* status_name(Status s) {
+  switch (s) {
+    case Status::kOptimal:
+      return "optimal";
+    case Status::kInfeasible:
+      return "infeasible";
+    case Status::kUnbounded:
+      return "unbounded";
+    case Status::kIterLimit:
+      return "stopped at the iteration limit";
+    case Status::kNumerical:
+      return "failed the residual check";
+  }
+  return "?";
+}
+
+int Problem::add_var(double obj, double hi) {
   obj_.push_back(obj);
   hi_.push_back(hi);
-  if (name.empty()) name = "x" + std::to_string(obj_.size() - 1);
-  names_.push_back(std::move(name));
   return static_cast<int>(obj_.size() - 1);
 }
 
@@ -115,56 +156,51 @@ void Problem::add_constraint(std::vector<Term> terms, Rel rel, double rhs) {
   rows_.push_back(Row{std::move(terms), rel, rhs});
 }
 
+double Problem::max_residual(const std::vector<double>& x) const {
+  double worst = 0.0;
+  for (const Row& row : rows_) {
+    double lhs = 0.0, magnitude = 1.0 + std::abs(row.rhs);
+    for (const Term& t : row.terms) {
+      const double v = t.coeff * x[static_cast<std::size_t>(t.var)];
+      lhs += v;
+      magnitude += std::abs(v);
+    }
+    const double over = lhs - row.rhs;
+    const double violation = row.rel == Rel::kLe   ? over
+                             : row.rel == Rel::kGe ? -over
+                                                   : std::abs(over);
+    worst = std::max(worst, violation / magnitude);
+  }
+  for (std::size_t v = 0; v < x.size(); ++v) {
+    const double magnitude = 1.0 + std::abs(x[v]);
+    worst = std::max({worst, -x[v] / magnitude, (x[v] - hi_[v]) / magnitude});
+  }
+  return worst;
+}
+
 Solution Problem::solve(std::size_t max_iters) const {
   const int n = num_vars();
 
-  // Collect all rows: user rows plus upper-bound rows.
-  struct NRow {
-    std::vector<double> a;  // dense over structural vars
-    Rel rel;
-    double rhs;
-  };
-  std::vector<NRow> rows;
-  rows.reserve(rows_.size());
-  for (const Row& r : rows_) {
-    NRow nr{std::vector<double>(static_cast<std::size_t>(n), 0.0), r.rel,
-            r.rhs};
-    for (const Term& t : r.terms) {
-      nr.a[static_cast<std::size_t>(t.var)] += t.coeff;
-    }
-    rows.push_back(std::move(nr));
-  }
+  // Rows: the user rows, then x_v <= hi_v for every finite bound. A row
+  // with a negative RHS enters negated, so every RHS is >= 0.
+  std::vector<Row> bound_rows;
   for (int v = 0; v < n; ++v) {
     const double hi = hi_[static_cast<std::size_t>(v)];
-    if (std::isfinite(hi)) {
-      NRow nr{std::vector<double>(static_cast<std::size_t>(n), 0.0), Rel::kLe,
-              hi};
-      nr.a[static_cast<std::size_t>(v)] = 1.0;
-      rows.push_back(std::move(nr));
-    }
+    if (std::isfinite(hi)) bound_rows.push_back(Row{{{v, 1.0}}, Rel::kLe, hi});
   }
-
-  // Normalize RHS >= 0.
-  for (NRow& r : rows) {
-    if (r.rhs < 0) {
-      for (double& c : r.a) c = -c;
-      r.rhs = -r.rhs;
-      if (r.rel == Rel::kLe) {
-        r.rel = Rel::kGe;
-      } else if (r.rel == Rel::kGe) {
-        r.rel = Rel::kLe;
-      }
-    }
-  }
-
-  const int m = static_cast<int>(rows.size());
+  const auto row_at = [&](int r) -> const Row& {
+    const auto i = static_cast<std::size_t>(r);
+    return i < rows_.size() ? rows_[i] : bound_rows[i - rows_.size()];
+  };
+  const int m = static_cast<int>(rows_.size() + bound_rows.size());
 
   // Column layout: [0,n) structural, then one slack/surplus per inequality,
   // then artificials for >= and == rows.
   int num_slack = 0, num_art = 0;
-  for (const NRow& r : rows) {
-    if (r.rel != Rel::kEq) ++num_slack;
-    if (r.rel != Rel::kLe) ++num_art;
+  for (int r = 0; r < m; ++r) {
+    const Rel rel = normalized(row_at(r).rel, row_at(r).rhs);
+    if (rel != Rel::kEq) ++num_slack;
+    if (rel != Rel::kLe) ++num_art;
   }
   const int ncols = n + num_slack + num_art;
   const int art_begin = n + num_slack;
@@ -172,49 +208,52 @@ Solution Problem::solve(std::size_t max_iters) const {
   Tableau t;
   t.m = m;
   t.ncols = ncols;
+  t.active = ncols;
   t.a.assign(static_cast<std::size_t>(m) * (ncols + 1), 0.0);
   t.basis.assign(static_cast<std::size_t>(m), -1);
   t.cost.assign(static_cast<std::size_t>(ncols), 0.0);
 
   int slack_col = n, art_col = art_begin;
   for (int r = 0; r < m; ++r) {
-    const NRow& row = rows[static_cast<std::size_t>(r)];
-    for (int c = 0; c < n; ++c) t.at(r, c) = row.a[static_cast<std::size_t>(c)];
-    t.rhs(r) = row.rhs;
-    if (row.rel == Rel::kLe) {
-      t.at(r, slack_col) = 1.0;
-      t.basis[static_cast<std::size_t>(r)] = slack_col++;
-    } else if (row.rel == Rel::kGe) {
-      t.at(r, slack_col++) = -1.0;  // surplus
-      t.at(r, art_col) = 1.0;
-      t.basis[static_cast<std::size_t>(r)] = art_col++;
-    } else {
-      t.at(r, art_col) = 1.0;
-      t.basis[static_cast<std::size_t>(r)] = art_col++;
+    const Row& row = row_at(r);
+    const double sign = row.rhs < 0 ? -1.0 : 1.0;
+    double* a = t.row(r);
+    for (const Term& term : row.terms) a[term.var] += sign * term.coeff;
+    a[ncols] = sign * row.rhs;
+    switch (normalized(row.rel, row.rhs)) {
+      case Rel::kLe:
+        a[slack_col] = 1.0;
+        t.basis[static_cast<std::size_t>(r)] = slack_col++;
+        break;
+      case Rel::kGe:
+        a[slack_col++] = -1.0;  // surplus
+        [[fallthrough]];
+      case Rel::kEq:
+        a[art_col] = 1.0;
+        t.basis[static_cast<std::size_t>(r)] = art_col++;
+        break;
     }
   }
 
   Solution sol;
-  std::vector<bool> enterable(static_cast<std::size_t>(ncols), true);
   std::size_t iters_left = max_iters;
 
   // ---- Phase 1: maximize -(sum of artificials) ----
   if (num_art > 0) {
     // Maximize z = -(sum of artificials). Substituting each artificial
     // row art_r = rhs_r - sum_c a_rc x_c gives reduced costs
-    // cost_j = +sum over artificial rows of a_rj and objval = -sum rhs.
+    // cost_j = +sum over artificial rows of a_rj (0 for the basic
+    // artificials) and objval = -sum rhs.
     for (int r = 0; r < m; ++r) {
       if (t.basis[static_cast<std::size_t>(r)] < art_begin) continue;
-      for (int c = 0; c < ncols; ++c) {
-        t.cost[static_cast<std::size_t>(c)] += t.get(r, c);
+      const double* a = t.row(r);
+      for (int c = 0; c < art_begin; ++c) {
+        t.cost[static_cast<std::size_t>(c)] += a[c];
       }
       t.objval -= t.rhs(r);
     }
-    for (int c = art_begin; c < ncols; ++c) {
-      t.cost[static_cast<std::size_t>(c)] = 0.0;  // basic artificials
-    }
 
-    const Status st = run_simplex(t, enterable, iters_left);
+    const Status st = run_simplex(t, iters_left);
     if (st == Status::kIterLimit) {
       sol.status = st;
       return sol;
@@ -223,19 +262,20 @@ Solution Problem::solve(std::size_t max_iters) const {
       sol.status = Status::kInfeasible;
       return sol;
     }
-    // Drive remaining basic artificials out where possible; redundant rows
-    // keep a zero-valued artificial that is simply barred from re-entering.
+    // Nothing reads the artificial columns again: they leave pricing and
+    // pivots. Drive remaining basic artificials out where possible;
+    // redundant rows keep a zero-valued artificial that never re-enters.
+    t.active = art_begin;
     for (int r = 0; r < m; ++r) {
       if (t.basis[static_cast<std::size_t>(r)] < art_begin) continue;
+      const double* a = t.row(r);
       for (int c = 0; c < art_begin; ++c) {
-        if (std::abs(t.get(r, c)) > kTolPivot) {
+        if (std::abs(a[c]) > kTolPivot) {
+          t.collect_rows(c);
           t.pivot(r, c);
           break;
         }
       }
-    }
-    for (int c = art_begin; c < ncols; ++c) {
-      enterable[static_cast<std::size_t>(c)] = false;
     }
   }
 
@@ -250,8 +290,9 @@ Solution Problem::solve(std::size_t max_iters) const {
     const int b = t.basis[static_cast<std::size_t>(r)];
     const double cb = b < n ? obj_[static_cast<std::size_t>(b)] : 0.0;
     if (cb == 0.0) continue;
-    for (int c = 0; c < ncols; ++c) {
-      t.cost[static_cast<std::size_t>(c)] -= cb * t.get(r, c);
+    const double* a = t.row(r);
+    for (int c = 0; c < t.active; ++c) {
+      t.cost[static_cast<std::size_t>(c)] -= cb * a[c];
     }
     t.objval += cb * t.rhs(r);
   }
@@ -260,13 +301,12 @@ Solution Problem::solve(std::size_t max_iters) const {
     t.cost[static_cast<std::size_t>(b)] = 0.0;
   }
 
-  const Status st = run_simplex(t, enterable, iters_left);
+  const Status st = run_simplex(t, iters_left);
   if (st != Status::kOptimal) {
     sol.status = st;
     return sol;
   }
 
-  sol.status = Status::kOptimal;
   sol.objective = t.objval;
   sol.x.assign(static_cast<std::size_t>(n), 0.0);
   for (int r = 0; r < m; ++r) {
@@ -277,6 +317,9 @@ Solution Problem::solve(std::size_t max_iters) const {
   for (double& v : sol.x) {
     if (v < 0 && v > -kTolFeas) v = 0;
   }
+  // Check the answer against the original rows before calling it optimal.
+  sol.status = max_residual(sol.x) > kTolFeas ? Status::kNumerical
+                                              : Status::kOptimal;
   return sol;
 }
 

@@ -1,6 +1,6 @@
-// Linear programming by dense two-phase primal simplex — the substitute
-// for glpk/cplex, which the paper uses to solve (the relaxation of)
-// optimization problem (2).
+// Linear programming by two-phase primal simplex on a dense tableau with
+// sparse pivots — the substitute for glpk/cplex, which the paper uses to
+// solve (the relaxation of) optimization problem (2).
 //
 // Problem sizes in this system are small (5–20 data centers, a handful of
 // sessions, a few hundred path variables), so a dense tableau with
@@ -12,10 +12,17 @@
 //                 0 <= x_j <= hi_j               (hi may be +infinity)
 //
 // Finite upper bounds are handled by adding a row (fine at this scale).
+//
+// The rows of problem (2) are sparse, and so are their pivots: a pivot
+// updates only the rows whose entry in the entering column is at least
+// the pivot tolerance, and in them only the columns where the pivot row
+// is nonzero, plus the RHS. Every nonzero sees the same operations in the
+// same order as in a dense pivot, and zeros are never scaled, so the
+// pivot sequence and every result are bit-identical to the dense
+// tableau. After phase 1 the artificial columns leave pricing and pivots.
 #pragma once
 
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace ncfn::lp {
@@ -24,7 +31,12 @@ inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
 enum class Rel { kLe, kGe, kEq };
 
-enum class Status { kOptimal, kInfeasible, kUnbounded, kIterLimit };
+/// kNumerical: the final basis fails Problem::max_residual's check.
+enum class Status { kOptimal, kInfeasible, kUnbounded, kIterLimit, kNumerical };
+
+/// How a solve ended, worded to follow "LP relaxation ...", e.g.
+/// "stopped at the iteration limit".
+[[nodiscard]] const char* status_name(Status s);
 
 struct Term {
   int var;
@@ -43,7 +55,7 @@ class Problem {
  public:
   /// Add a variable with bounds [0, hi] and objective coefficient `obj`.
   /// Returns the variable index.
-  int add_var(double obj, double hi = kInf, std::string name = "");
+  int add_var(double obj, double hi = kInf);
 
   /// Replace a variable's objective coefficient.
   void set_objective(int var, double obj) { obj_.at(static_cast<std::size_t>(var)) = obj; }
@@ -59,13 +71,15 @@ class Problem {
   void add_constraint(std::vector<Term> terms, Rel rel, double rhs);
 
   [[nodiscard]] int num_vars() const { return static_cast<int>(obj_.size()); }
-  [[nodiscard]] int num_constraints() const { return static_cast<int>(rows_.size()); }
-  [[nodiscard]] const std::string& var_name(int v) const {
-    return names_.at(static_cast<std::size_t>(v));
-  }
 
-  /// Solve. `max_iters` bounds total simplex pivots.
+  /// Solve. `max_iters` bounds total simplex pivots. An optimal basis
+  /// whose max_residual exceeds 1e-7 is reported as kNumerical.
   [[nodiscard]] Solution solve(std::size_t max_iters = 100000) const;
+
+  /// The largest violation of any row or bound at `x` (one value per
+  /// variable), relative to the row's magnitude 1 + |b_i| + sum_j
+  /// |a_ij x_j|; 0 when x is feasible. O(nonzeros).
+  [[nodiscard]] double max_residual(const std::vector<double>& x) const;
 
  private:
   struct Row {
@@ -76,7 +90,6 @@ class Problem {
 
   std::vector<double> obj_;
   std::vector<double> hi_;
-  std::vector<std::string> names_;
   std::vector<Row> rows_;
 };
 

@@ -1,5 +1,6 @@
-// Tests for the dense two-phase simplex solver: textbook LPs, edge cases
-// (infeasible / unbounded / degenerate), bounds, fixing, equality rows.
+// Tests for the two-phase simplex solver: textbook LPs, edge cases
+// (infeasible / unbounded / degenerate / iteration limit), bounds,
+// fixing, equality rows, and residual checks on random LPs.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -197,5 +198,103 @@ TEST(Simplex, RandomizedFeasibilitySanity) {
       EXPECT_GE(s.x[static_cast<std::size_t>(j)], -1e-9);
       EXPECT_LE(s.x[static_cast<std::size_t>(j)], 10.0 + 1e-6);
     }
+  }
+}
+
+TEST(Simplex, IterationLimitInEitherPhase) {
+  // max c(x + y) s.t. x + y >= 2, x - y == 0, x <= 3, y <= 3: phase 1
+  // pivots out two artificials, and with c = 1 phase 2 still has to
+  // pivot up to x = y = 3.
+  const auto build = [](double c) {
+    Problem p;
+    const int x = p.add_var(c, /*hi=*/3.0);
+    const int y = p.add_var(c, /*hi=*/3.0);
+    p.add_constraint({{x, 1.0}, {y, 1.0}}, Rel::kGe, 2.0);
+    p.add_constraint({{x, 1.0}, {y, -1.0}}, Rel::kEq, 0.0);
+    return p;
+  };
+  const auto min_budget = [](const Problem& p) {
+    std::size_t budget = 0;
+    while (p.solve(budget).status != Status::kOptimal) ++budget;
+    return budget;
+  };
+  // With a zero objective phase 2 stops after one pricing pass, so phase
+  // 1 takes all but one iteration of the smallest budget that solves.
+  const std::size_t phase1 = min_budget(build(0.0)) - 1;
+  ASSERT_GE(phase1, 2u);
+  const Problem p = build(1.0);
+  EXPECT_EQ(p.solve(phase1 - 1).status, Status::kIterLimit);  // in phase 1
+  EXPECT_EQ(p.solve(phase1 + 1).status, Status::kIterLimit);  // in phase 2
+  const Solution s = p.solve();
+  ASSERT_TRUE(s.ok());
+  EXPECT_NEAR(s.objective, 6.0, 1e-9);
+  EXPECT_STREQ(status_name(Status::kIterLimit),
+               "stopped at the iteration limit");
+}
+
+TEST(Simplex, MaxResidualMeasuresViolations) {
+  // Each violation counts relative to 1 + |b| + sum |a_j x_j|.
+  Problem p;
+  const int x = p.add_var(1.0, /*hi=*/4.0);
+  const int y = p.add_var(1.0);
+  const int z = p.add_var(1.0);
+  p.add_constraint({{x, 1.0}, {y, 1.0}}, Rel::kLe, 5.0);
+  p.add_constraint({{x, 1.0}}, Rel::kGe, 1.0);
+  p.add_constraint({{z, 2.0}}, Rel::kEq, 2.0);
+  EXPECT_EQ(p.max_residual({2.0, 1.0, 1.0}), 0.0);
+  EXPECT_DOUBLE_EQ(p.max_residual({2.0, 4.0, 1.0}), 1.0 / 12.0);  // <= row
+  EXPECT_DOUBLE_EQ(p.max_residual({2.0, 1.0, 2.0}), 2.0 / 7.0);   // == row
+  // x = -0.5 misses x >= 1 by 1.5 / 2.5 and x >= 0 by 0.5 / 1.5.
+  EXPECT_DOUBLE_EQ(p.max_residual({-0.5, 1.0, 1.0}), 1.5 / 2.5);
+  EXPECT_DOUBLE_EQ(p.max_residual({4.5, 0.0, 1.0}), 0.5 / 5.5);  // x <= 4
+  const Solution s = p.solve();
+  ASSERT_TRUE(s.ok());
+  EXPECT_NEAR(s.objective, 6.0, 1e-9);
+  EXPECT_LE(p.max_residual(s.x), 1e-12);
+}
+
+TEST(Simplex, RandomMixedRowsAndFixingsHaveTinyResiduals) {
+  // Random sparse LPs around a known feasible point x*: <=, >= and ==
+  // rows (some listed twice, so phase 1 leaves redundant artificials),
+  // negative right-hand sides, and fix() calls. They run phase 1, the
+  // drive-out of leftover artificials and phase 2 without the artificial
+  // columns; every answer must satisfy every row and bound.
+  std::mt19937 rng(2024);
+  std::uniform_real_distribution<double> coeff(-2.0, 2.0);
+  std::uniform_real_distribution<double> pos(0.0, 3.0);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = 4 + static_cast<int>(rng() % 12);
+    const int m = 3 + static_cast<int>(rng() % 14);
+    std::vector<double> xstar(static_cast<std::size_t>(n));
+    for (double& v : xstar) v = rng() % 3 == 0 ? 0.0 : pos(rng);
+    Problem p;
+    double obj_star = 0;
+    for (int j = 0; j < n; ++j) {
+      const double c = coeff(rng);
+      p.add_var(c, /*hi=*/10.0);
+      obj_star += c * xstar[static_cast<std::size_t>(j)];
+    }
+    for (int i = 0; i < m; ++i) {
+      std::vector<Term> terms;
+      double lhs = 0;
+      for (int j = 0; j < n; ++j) {
+        if (rng() % 3 != 0) continue;
+        terms.push_back({j, coeff(rng)});
+        lhs += terms.back().coeff * xstar[static_cast<std::size_t>(j)];
+      }
+      const auto rel = static_cast<Rel>(rng() % 3);
+      const double rhs = rel == Rel::kLe   ? lhs + pos(rng)
+                         : rel == Rel::kGe ? lhs - pos(rng)
+                                           : lhs;
+      if (rel == Rel::kEq && rng() % 2 == 0) p.add_constraint(terms, rel, rhs);
+      p.add_constraint(std::move(terms), rel, rhs);
+    }
+    for (int j = 0; j < n; ++j) {
+      if (rng() % 5 == 0) p.fix(j, xstar[static_cast<std::size_t>(j)]);
+    }
+    const Solution s = p.solve();
+    ASSERT_TRUE(s.ok()) << "trial " << trial;
+    EXPECT_LE(p.max_residual(s.x), 1e-9) << "trial " << trial;
+    EXPECT_GE(s.objective, obj_star - 1e-6) << "trial " << trial;
   }
 }

@@ -1,7 +1,8 @@
 // Observability layer tests: metrics registry semantics, histogram edge
 // cases, the trace determinism contract (two same-seed runs must be
 // byte-identical), golden-trace regression for two end-to-end scenarios,
-// and the zero-allocation guarantee of the instrumented hot path.
+// golden controller plans under churn (the LP answers, bit for bit), and
+// the zero-allocation guarantee of the instrumented hot path.
 //
 // Golden files live in tests/golden/. After an *intentional* behaviour
 // change, regenerate them with:
@@ -10,8 +11,11 @@
 // drop behaviour and decode timing cannot change silently.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -20,6 +24,7 @@
 #include "app/scenarios.hpp"
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
+#include "ctrl/controller.hpp"
 #include "ctrl/problem.hpp"
 #include "graph/topology.hpp"
 #include "netsim/loss.hpp"
@@ -415,6 +420,105 @@ TEST(GoldenTrace, Butterfly) {
 
 TEST(GoldenTrace, ButterflyMetrics) {
   check_golden("metrics_butterfly.json", run_butterfly(7).metrics_json);
+}
+
+// ---------------------------------------------------------------------------
+// Golden controller plans under churn: the LP answers, bit for bit
+// ---------------------------------------------------------------------------
+
+/// One line per decision: the LP statuses, the objective and VNF count,
+/// and a 64-bit FNV-1a digest of every lambda, edge rate and path rate,
+/// all in exact %a form.
+std::string plan_line(std::size_t i, const char* op,
+                      const ctrl::DeploymentPlan& plan) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  auto mix = [&digest](double v) {
+    char buf[40];
+    const int n = std::snprintf(buf, sizeof buf, "%a;", v);
+    for (int k = 0; k < n; ++k) {
+      digest = (digest ^ static_cast<unsigned char>(buf[k])) *
+               0x100000001b3ULL;
+    }
+  };
+  for (std::size_t m = 0; m < plan.lambda_mbps.size(); ++m) {
+    mix(plan.lambda_mbps[m]);
+    for (const auto& [e, rate] : plan.edge_rate_mbps[m]) {
+      mix(static_cast<double>(e));
+      mix(rate);
+    }
+    for (const auto& receiver : plan.path_rates[m]) {
+      for (const ctrl::PathRate& pr : receiver) mix(pr.rate_mbps);
+    }
+  }
+  char line[200];
+  std::snprintf(line, sizeof line,
+                "%3zu %-7s relax=%s final=%s obj=%a vnfs=%d rates=%016llx\n",
+                i, op, lp::status_name(plan.relax_status),
+                lp::status_name(plan.final_status), plan.objective,
+                plan.total_vnfs(), static_cast<unsigned long long>(digest));
+  return line;
+}
+
+// A seeded churn script on the Sec. V.C overlay (16 hosts per region):
+// sessions join and quit (2 to 5 live), receivers join and leave, and
+// data centers report 75 % or 125 % of the nominal VM bandwidth. The
+// incremental re-solves freeze the unaffected sessions, so their LPs
+// carry 100+ fixing rows.
+std::string run_churn_plans(std::uint32_t seed, std::size_t decisions) {
+  app::scenarios::SixDcParams params;
+  params.hosts_per_region = 16;
+  const auto net = app::scenarios::six_datacenters(params);
+  ctrl::Controller::Config cfg;
+  cfg.tau1_s = 0.0;  // a bandwidth report applies at the next tick
+  ctrl::Controller ctl(net.topo, cfg);
+  std::mt19937 rng(seed);
+  std::set<graph::NodeIdx> used;
+  coding::SessionId next_id = 1;
+  std::string out;
+  for (std::size_t i = 0; i < decisions; ++i) {
+    const double now = 60.0 * static_cast<double>(i + 1);
+    const std::vector<ctrl::SessionSpec>& live = ctl.sessions();
+    const unsigned roll = rng() % 8;
+    const char* op = "bw";
+    if (live.size() < 2 || (live.size() < 5 && roll < 2)) {
+      op = "join";
+      ctl.add_session(
+          app::scenarios::random_session(net, next_id++, rng, 0.150, &used),
+          now);
+    } else if (roll < 3) {
+      op = "quit";
+      const ctrl::SessionSpec s = live[rng() % live.size()];
+      used.erase(s.source);
+      for (const graph::NodeIdx h : s.receivers) used.erase(h);
+      ctl.remove_session(s.id, now);
+    } else if (roll < 5) {
+      op = "rx-join";
+      const coding::SessionId id = live[rng() % live.size()].id;
+      graph::NodeIdx h = net.hosts[rng() % net.hosts.size()];
+      while (used.count(h) != 0) h = net.hosts[rng() % net.hosts.size()];
+      used.insert(h);
+      ctl.add_receiver(id, h, now);
+    } else if (roll < 6) {
+      op = "rx-quit";
+      const ctrl::SessionSpec s = live[rng() % live.size()];
+      if (s.receivers.size() > 1) {
+        used.erase(s.receivers.back());
+        ctl.remove_receiver(s.id, s.receivers.back(), now);
+      }
+    } else {
+      const graph::NodeIdx dc = net.dcs[rng() % net.dcs.size()];
+      const bool low_in = rng() % 2 == 0;
+      ctl.report_bandwidth(dc, low_in ? 300e6 : 500e6,
+                           low_in ? 500e6 : 300e6, now);
+    }
+    ctl.tick(now);
+    out += plan_line(i, op, ctl.plan());
+  }
+  return out;
+}
+
+TEST(GoldenPlans, ControllerChurn) {
+  check_golden("plans_churn.txt", run_churn_plans(11, 120));
 }
 
 }  // namespace

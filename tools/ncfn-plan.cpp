@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
   prob.alpha = scenario->alpha;
   auto plan = ctrl::solve_deployment(prob);
   if (!plan.feasible) {
-    std::fprintf(stderr, "no feasible deployment (alpha=%.1f)\n",
-                 scenario->alpha);
+    std::fprintf(stderr, "no deployment (alpha=%.1f): %s\n",
+                 scenario->alpha, plan.failure().c_str());
     return 1;
   }
   if (quantize_blocks > 0) {

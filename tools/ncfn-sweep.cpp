@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   prob.alpha = scenario->alpha;
   const auto plan = ctrl::solve_deployment(prob);
   if (!plan.feasible) {
-    std::fprintf(stderr, "no feasible deployment\n");
+    std::fprintf(stderr, "no deployment: %s\n", plan.failure().c_str());
     return 1;
   }
 
