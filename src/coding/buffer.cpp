@@ -74,4 +74,20 @@ void GenerationBuffer::erase_session(SessionId session) {
   if (has_obs_) m_buffered_->set(static_cast<double>(states_.size()));
 }
 
+void GenerationBuffer::erase_released(SessionId session) {
+  auto it = fifo_.find(session);
+  if (it == fifo_.end()) return;
+  std::erase_if(it->second, [&](GenerationId gen) {
+    auto st = states_.find(Key{session, gen});
+    if (st == states_.end() || !st->second->released()) return false;
+    states_.erase(st);
+    if (has_obs_) {
+      obs_handles_.trace->gen_close(obs_handles_.node, session, gen, "erase");
+    }
+    return true;
+  });
+  if (it->second.empty()) fifo_.erase(it);
+  if (has_obs_) m_buffered_->set(static_cast<double>(states_.size()));
+}
+
 }  // namespace ncfn::coding

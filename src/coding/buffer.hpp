@@ -5,7 +5,9 @@
 // discards the oldest packets once the buffer is full."  The buffer holds
 // up to `buffer_generations` generations *per session* (the paper settles
 // on 1024 per session, Fig. 5); when a session exceeds its budget the
-// oldest generation's state is evicted wholesale.
+// oldest generation's state is evicted wholesale. A decoder released after
+// delivery (a tombstone without rows) still counts against the budget, so
+// releasing rows never changes which generation is evicted when.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +38,10 @@ class GenerationBuffer {
 
   /// Drop everything belonging to a session (session teardown).
   void erase_session(SessionId session);
+
+  /// Drop the session's released decoders (Decoder::release), e.g. when
+  /// it stops being a decode session and must not recode from them.
+  void erase_released(SessionId session);
 
   [[nodiscard]] std::size_t generations_buffered() const { return states_.size(); }
   [[nodiscard]] std::size_t evictions() const { return evictions_; }

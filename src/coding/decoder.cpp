@@ -1,7 +1,8 @@
 #include "coding/decoder.hpp"
 
-#include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "coding/byteview.hpp"
 #include "coding/rng_fill.hpp"
@@ -39,6 +40,21 @@ void Decoder::install_pivot(CodedPacket&& row, std::size_t c) {
       obs_->trace->gen_decode(obs_->node, session_, generation_, seen_);
     }
   }
+}
+
+void Decoder::require_rows(const char* op) const {
+  if (!released_) return;
+  std::fprintf(stderr,
+               "ncfn: Decoder::%s on released generation %u of session %u\n",
+               op, generation_, session_);
+  std::abort();
+}
+
+void Decoder::release() {
+  assert(complete());
+  pivots_.clear();
+  pivots_.shrink_to_fit();
+  released_ = true;
 }
 
 bool Decoder::add(const CodedPacket& pkt) {
@@ -92,6 +108,7 @@ bool Decoder::add(const CodedPacket& pkt) {
 
 CodedPacket Decoder::recode(std::mt19937& rng) const {
   assert(rank_ >= 1);
+  require_rows("recode");
   if (obs_ != nullptr) obs_->recode_ops->inc();
   CodedPacket out;
   out.session = session_;
@@ -138,6 +155,7 @@ void Decoder::recode_batch(std::mt19937& rng, std::size_t k,
   assert(rank_ >= 1);
   assert(k <= out.room());
   assert(g_ <= 256);
+  require_rows("recode_batch");
   if (k == 0) return;
   if (obs_ != nullptr) obs_->recode_ops->inc(k);
 
@@ -212,22 +230,30 @@ void Decoder::recode_batch(std::mt19937& rng, std::size_t k,
 
 std::vector<std::vector<std::uint8_t>> Decoder::recover() const {
   assert(complete());
-  // Back-substitution: walk pivots from the last column to the first,
-  // eliminating above-diagonal coefficients. Working rows are pooled
-  // copies; each elimination is one fused op over [coeffs | payload].
-  std::vector<CodedPacket> rows(g_);
-  for (std::size_t c = 0; c < g_; ++c) rows[c] = *pivots_[c];
+  require_rows("recover");
+  std::vector<std::vector<std::uint8_t>> blocks(g_);
   for (std::size_t c = g_; c-- > 0;) {
-    for (std::size_t r = 0; r < c; ++r) {
-      const std::uint8_t f = rows[r].coeffs()[c];
-      if (f == 0) continue;
-      gf::bulk_muladd(rows[r].row(), rows[c].row(), f);
+    const CodedPacket& pivot = *pivots_[c];
+    const auto payload = pivot.payload();
+    blocks[c].assign(payload.begin(), payload.end());
+    const std::span<std::uint8_t> dst(blocks[c]);
+    const auto coeffs = pivot.coeffs();
+    const std::uint8_t* src[4];
+    std::uint8_t c4[4];
+    int k = 0;
+    for (std::size_t j = c + 1; j < g_; ++j) {
+      if (coeffs[j] == 0) continue;
+      src[k] = blocks[j].data();
+      c4[k] = coeffs[j];
+      if (++k == 4) {
+        gf::bulk_muladd_x4(dst, src, c4);
+        k = 0;
+      }
     }
-  }
-  std::vector<std::vector<std::uint8_t>> blocks;
-  blocks.reserve(g_);
-  for (auto& row : rows) {
-    blocks.emplace_back(row.payload().begin(), row.payload().end());
+    for (int t = 0; t < k; ++t) {
+      gf::bulk_muladd(dst, std::span<const std::uint8_t>(src[t], dst.size()),
+                      c4[t]);
+    }
   }
   return blocks;
 }

@@ -12,6 +12,12 @@
 // across coefficients and payload, and recoding accumulates pivot rows
 // four at a time through the fused multi-row kernel. With a live pool the
 // steady state (add-eliminate-recode) performs no heap allocation.
+//
+// A destination that has delivered a generation never reads its rows
+// again, so release() hands them back to the pool and leaves a
+// tombstone: the decoder keeps its place in the generation buffer and
+// its counts, and late duplicates stay non-innovative, but it can no
+// longer recode or recover.
 #pragma once
 
 #include <cstdint>
@@ -57,9 +63,10 @@ class Decoder {
   [[nodiscard]] GenerationId generation() const { return generation_; }
   [[nodiscard]] std::size_t rank() const { return rank_; }
   /// True if the decoding matrix has a pivot at column c. For systematic
-  /// traffic this is exactly "original block c has been received".
+  /// traffic this is exactly "original block c has been received". A
+  /// released decoder was complete, so it has every pivot.
   [[nodiscard]] bool has_pivot(std::size_t c) const {
-    return pivots_.at(c).has_value();
+    return released_ ? c < g_ : pivots_.at(c).has_value();
   }
   [[nodiscard]] std::size_t block_count() const { return g_; }
   [[nodiscard]] bool complete() const { return rank_ == g_; }
@@ -69,7 +76,7 @@ class Decoder {
   [[nodiscard]] std::size_t packets_innovative() const { return rank_; }
 
   /// Produce a fresh random linear combination of everything received so
-  /// far (relay recoding). Precondition: rank() >= 1.
+  /// far (relay recoding). Precondition: rank() >= 1 and not released().
   [[nodiscard]] CodedPacket recode(std::mt19937& rng) const;
 
   /// Batched recoding: append `k` fresh random combinations to `out`
@@ -77,7 +84,7 @@ class Decoder {
   /// from `rng` and walks the stored pivot set once, so the RNG, the
   /// present-pivot scan and the obs updates amortize across the batch;
   /// the byte stream drawn from `rng` is identical to k successive
-  /// recode() calls. Precondition: rank() >= 1.
+  /// recode() calls. Precondition: rank() >= 1 and not released().
   void recode_batch(std::mt19937& rng, std::size_t k, PacketBatch& out) const;
 
   /// Tests only: disable the systematic (identity-coefficient) ingest
@@ -85,8 +92,23 @@ class Decoder {
   /// elimination path.
   void set_systematic_fastpath(bool on) { systematic_fastpath_ = on; }
 
-  /// Recover the original blocks. Precondition: complete().
+  /// Recover the original blocks by back-substitution over the payloads:
+  /// block c = payload of pivot c + sum over j > c of coeff(c, j) * block
+  /// j, built from the last column down straight into the returned
+  /// vectors, four earlier blocks per fused pass. The pivot rows are
+  /// upper triangular with a unit diagonal, so this is the same answer as
+  /// reducing the rows to the identity first; sums in GF(2^8) are XORs,
+  /// so the order of the terms does not matter.
+  /// Precondition: complete() and not released().
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> recover() const;
+
+  /// Give every pivot row back to the pool once the generation has been
+  /// delivered. rank(), complete(), packets_seen() and has_pivot() keep
+  /// their values and add() keeps counting (nothing is innovative any
+  /// more); recode(), recode_batch() and recover() abort from then on.
+  /// Precondition: complete().
+  void release();
+  [[nodiscard]] bool released() const { return released_; }
 
   /// Attach observability handles (owned by the enclosing buffer and
   /// outliving this decoder); nullptr detaches.
@@ -95,6 +117,8 @@ class Decoder {
  private:
   /// Adopt `row` as the pivot for column `c` and account the rank gain.
   void install_pivot(CodedPacket&& row, std::size_t c);
+  /// Abort if release() already gave the rows back; `op` names the caller.
+  void require_rows(const char* op) const;
 
   SessionId session_;
   GenerationId generation_;
@@ -105,6 +129,7 @@ class Decoder {
   PacketPool pool_;
   const CodingObs* obs_ = nullptr;
   bool systematic_fastpath_ = true;
+  bool released_ = false;
   // pivots_[c]: contiguous [coeffs | payload] row with leading 1 at column c
   std::vector<std::optional<CodedPacket>> pivots_;
 };

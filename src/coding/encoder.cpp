@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "coding/byteview.hpp"
 #include "coding/rng_fill.hpp"
 #include "gf/gf256.hpp"
 
@@ -49,7 +50,7 @@ void Encoder::encode_random_batch(std::size_t k, PacketBatch& out) {
     CodedPacket& pkt = out.emplace(g, generation_->block_size(), pool_);
     pkt.session = session_;
     pkt.generation = generation_->id();
-    std::ranges::copy(cs, pkt.coeffs().begin());
+    copy_bytes(pkt.coeffs(), cs);
     encode_payload(pkt);
   }
 }
@@ -62,7 +63,7 @@ CodedPacket Encoder::encode_systematic(std::size_t i) {
   pkt.generation = generation_->id();
   pkt.acquire(g, generation_->block_size(), pool_);
   pkt.coeffs()[i] = 1;
-  std::ranges::copy(generation_->block(i), pkt.payload().begin());
+  copy_bytes(pkt.payload(), generation_->block(i));
   return pkt;
 }
 
@@ -74,7 +75,7 @@ CodedPacket Encoder::encode_with(
   pkt.session = session_;
   pkt.generation = generation_->id();
   pkt.acquire(g, generation_->block_size(), pool_);
-  std::ranges::copy(coeffs, pkt.coeffs().begin());
+  copy_bytes(pkt.coeffs(), coeffs);
   encode_payload(pkt);
   return pkt;
 }

@@ -1,6 +1,5 @@
 #include "coding/packet.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "coding/byteview.hpp"
@@ -21,8 +20,8 @@ CodedPacket CodedPacket::make(SessionId session, GenerationId generation,
   pkt.session = session;
   pkt.generation = generation;
   pkt.acquire(coeffs.size(), payload.size(), pool);
-  std::ranges::copy(coeffs, pkt.coeffs().begin());
-  std::ranges::copy(payload, pkt.payload().begin());
+  copy_bytes(pkt.coeffs(), coeffs);
+  copy_bytes(pkt.payload(), payload);
   return pkt;
 }
 

@@ -96,6 +96,11 @@ void CodingVnf::configure_session(coding::SessionId id, ctrl::VnfRole role,
     net_.unbind(node_, st.port);
     net_.unbind_burst(node_, st.port);
   }
+  // Generations this session delivered as a decoder gave their rows
+  // back; in any other role a late arrival opens fresh state instead.
+  if (st.role == ctrl::VnfRole::kDecode && role != ctrl::VnfRole::kDecode) {
+    buffer_.erase_released(id);
+  }
   st.role = role;
   st.port = port;
   net_.bind(node_, port, [this](const netsim::Datagram& d) { on_datagram(d); });
@@ -388,7 +393,7 @@ void CodingVnf::emit_batch(coding::PacketBatch& batch) {
         sit == sessions_.end()
             ? nullptr
             : buffer_.find(batch[i].session, batch[i].generation);
-    if (dec == nullptr) {
+    if (dec == nullptr || dec->released()) {  // released: delivered already
       i = j;
       continue;
     }
@@ -396,12 +401,22 @@ void CodingVnf::emit_batch(coding::PacketBatch& batch) {
     switch (st.role) {
       case ctrl::VnfRole::kDecode:
         for (std::size_t p = i; p < j; ++p) {
-          if ((batch.meta(p) & kMetaCompletedNow) == 0) continue;
+          // With a tiny buffer a later generation in this batch can evict
+          // the decoder that completed and reopen its generation, so the
+          // decoder found here may be a newer, still incomplete one.
+          if ((batch.meta(p) & kMetaCompletedNow) == 0 || !dec->complete()) {
+            continue;
+          }
           ++st.stats.decoded_generations;
           if (m_decoded_ != nullptr) m_decoded_->inc();
           if (sink_) {
             sink_(batch[p].session, batch[p].generation, dec->recover());
           }
+          // A destination never reads a delivered generation again: its
+          // rows go back to the pool, and the tombstone keeps the FIFO
+          // slot and marks late duplicates non-innovative.
+          dec->release();
+          break;  // a run completes its generation at most once
         }
         break;
       case ctrl::VnfRole::kForward:
@@ -568,7 +583,7 @@ void CodingVnf::flush_pending(coding::SessionId session,
   auto lit = st.ledger.find(gen);
   if (lit == st.ledger.end()) return;
   coding::Decoder* dec = buffer_.find(session, gen);
-  if (dec != nullptr && dec->rank() > 0) {
+  if (dec != nullptr && dec->rank() > 0 && !dec->released()) {
     recode_counts_.assign(st.hops.size(), 0);
     for (std::size_t h = 0;
          h < lit->second.deferred.size() && h < st.hops.size(); ++h) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <random>
 
+#include "coding/batch.hpp"
 #include "coding/buffer.hpp"
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
@@ -142,8 +143,52 @@ TEST_P(RoundTrip, RandomCodedPacketsDecode) {
   }
 }
 
+// recover() back-substitutes four earlier blocks per fused pass, skips
+// zero coefficients and finishes a group of fewer than four row by row.
+// Systematic arrivals leave only zeros above the diagonal and sparse coded
+// ones leave gaps inside groups (RandomCodedPacketsDecode fills them);
+// the generation sizes around multiples of four cover every remainder.
+TEST_P(RoundTrip, SystematicAndSparseArrivalsDecode) {
+  const std::size_t g = GetParam();
+  CodingParams p;
+  p.block_size = 100;  // not a multiple of the 32-byte kernel stride
+  p.generation_blocks = g;
+  const auto data = random_bytes(p.generation_bytes(), 29);
+  Generation gen(0, data, p);
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse" : "systematic");
+    std::mt19937 rng(31 + static_cast<std::uint32_t>(g));
+    Encoder enc(9, gen, rng);
+    Decoder dec(9, 0, p);
+    std::vector<std::size_t> order(g);
+    for (std::size_t i = 0; i < g; ++i) order[i] = i;
+    std::shuffle(order.begin(), order.end(), rng);
+    for (const std::size_t i : order) {
+      if (!sparse || i % 3 == 0) dec.add(enc.encode_systematic(i));
+    }
+    std::vector<std::uint8_t> coeffs(g);
+    std::size_t fed = 0;
+    while (!dec.complete()) {
+      ASSERT_LE(fed++, g + 20) << "decoder is not converging";
+      for (auto& c : coeffs) {
+        c = rng() % 2 == 0 ? 0 : static_cast<std::uint8_t>(1 + rng() % 255);
+      }
+      dec.add(enc.encode_with(coeffs));
+    }
+    const auto blocks = dec.recover();
+    ASSERT_EQ(blocks.size(), g);
+    for (std::size_t i = 0; i < g; ++i) {
+      EXPECT_EQ(std::vector<std::uint8_t>(gen.block(i).begin(),
+                                          gen.block(i).end()),
+                blocks[i])
+          << "block " << i;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(GenerationSizes, RoundTrip,
-                         ::testing::Values(1, 2, 3, 4, 8, 16, 32, 64));
+                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 16, 31, 32,
+                                           33, 64));
 
 TEST(Decoder, SystematicPacketsDecodeWithExactlyG) {
   CodingParams p;
@@ -243,6 +288,69 @@ TEST(Decoder, RecodeNeverLeavesRowSpace) {
   EXPECT_EQ(other.rank(), 2u);
 }
 
+namespace {
+/// Complete `dec` with every systematic packet of a random generation.
+void fill_systematic(Decoder& dec, const CodingParams& p) {
+  std::mt19937 rng(73);
+  const auto data = random_bytes(p.generation_bytes(), 79);
+  Generation gen(dec.generation(), data, p);
+  Encoder enc(dec.session(), gen, rng);
+  for (std::size_t i = 0; i < p.generation_blocks; ++i) {
+    dec.add(enc.encode_systematic(i));
+  }
+}
+}  // namespace
+
+TEST(Decoder, ReleaseReturnsRowsAndKeepsTheTombstone) {
+  CodingParams p;
+  p.block_size = 48;
+  p.generation_blocks = 5;
+  const PacketPool pool = PacketPool::make();
+  Decoder dec(1, 0, p, pool);
+  std::mt19937 rng(83);
+  const auto data = random_bytes(p.generation_bytes(), 89);
+  Generation gen(0, data, p);
+  Encoder enc(1, gen, rng);
+  std::vector<CodedPacket> sent;
+  while (!dec.complete()) {
+    sent.push_back(enc.encode_random());
+    dec.add(sent.back());
+  }
+  EXPECT_EQ(pool.stats().outstanding(), p.generation_blocks);
+  const std::size_t seen = dec.packets_seen();
+
+  dec.release();
+  EXPECT_TRUE(dec.released());
+  EXPECT_EQ(pool.stats().outstanding(), 0u);
+  EXPECT_EQ(dec.rank(), p.generation_blocks);
+  EXPECT_TRUE(dec.complete());
+  EXPECT_EQ(dec.packets_seen(), seen);
+  for (std::size_t c = 0; c < p.generation_blocks; ++c) {
+    EXPECT_TRUE(dec.has_pivot(c)) << c;
+  }
+  // A late duplicate is counted and is not innovative.
+  EXPECT_FALSE(dec.add(sent.front()));
+  EXPECT_EQ(dec.packets_seen(), seen + 1);
+  EXPECT_EQ(dec.rank(), p.generation_blocks);
+  EXPECT_EQ(pool.stats().outstanding(), 0u);
+}
+
+TEST(DecoderDeathTest, ReleasedDecoderRefusesToRecodeOrRecover) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  CodingParams p;
+  p.block_size = 16;
+  p.generation_blocks = 4;
+  Decoder dec(1, 0, p);
+  fill_systematic(dec, p);
+  dec.release();
+  std::mt19937 rng(97);
+  EXPECT_DEATH((void)dec.recover(), "Decoder::recover on released");
+  EXPECT_DEATH((void)dec.recode(rng), "Decoder::recode on released");
+  PacketBatch out;
+  EXPECT_DEATH(dec.recode_batch(rng, 1, out),
+               "Decoder::recode_batch on released");
+}
+
 TEST(Buffer, CreatesAndFindsState) {
   CodingParams p;
   GenerationBuffer buf(p);
@@ -290,6 +398,44 @@ TEST(Buffer, EraseSingleGeneration) {
   buf.erase(1, 0);
   EXPECT_EQ(buf.find(1, 0), nullptr);
   buf.state(1, 2);  // fits without eviction now
+  EXPECT_EQ(buf.evictions(), 0u);
+}
+
+TEST(Buffer, FifoCountsReleasedGenerations) {
+  CodingParams p;
+  p.block_size = 16;
+  p.generation_blocks = 2;
+  p.buffer_generations = 2;
+  GenerationBuffer buf(p);
+  Decoder& first = buf.state(1, 0);
+  fill_systematic(first, p);
+  first.release();
+  buf.state(1, 1);
+  EXPECT_EQ(buf.generations_buffered(), 2u);
+  buf.state(1, 2);  // the tombstone is the oldest: it is what goes
+  EXPECT_EQ(buf.evictions(), 1u);
+  EXPECT_EQ(buf.find(1, 0), nullptr);
+  EXPECT_NE(buf.find(1, 1), nullptr);
+}
+
+TEST(Buffer, EraseReleasedKeepsGenerationsStillDecoding) {
+  CodingParams p;
+  p.block_size = 16;
+  p.generation_blocks = 2;
+  GenerationBuffer buf(p);
+  Decoder& done = buf.state(1, 0);
+  fill_systematic(done, p);
+  done.release();
+  buf.state(1, 1);  // still decoding
+  Decoder& other = buf.state(2, 0);  // another session's tombstone
+  fill_systematic(other, p);
+  other.release();
+  buf.erase_released(1);
+  EXPECT_EQ(buf.find(1, 0), nullptr);
+  EXPECT_NE(buf.find(1, 1), nullptr);
+  EXPECT_NE(buf.find(2, 0), nullptr);
+  EXPECT_EQ(buf.generations_buffered(), 2u);
+  buf.state(1, 2);
   EXPECT_EQ(buf.evictions(), 0u);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "app/provider.hpp"
 #include "coding/encoder.hpp"
@@ -154,6 +155,272 @@ TEST(CodingVnf, DecodeRoleDeliversBlocksToSink) {
                                                 gen.block(i).end()));
   }
   EXPECT_EQ(dec_vnf.stats(1).decoded_generations, 1u);
+}
+
+namespace {
+
+/// Coded packets for generations 0..n-1: g + 2 random combinations each,
+/// so every generation completes from its own packets.
+struct CodedStream {
+  CodedStream(const coding::CodingParams& params, coding::GenerationId n)
+      : provider(8, params.generation_bytes() * n, params) {
+    std::mt19937 rng(9);
+    for (coding::GenerationId gen = 0; gen < n; ++gen) {
+      const coding::Generation source = provider.generation(gen);
+      coding::Encoder enc(1, source, rng);
+      auto& pkts = packets.emplace_back();
+      for (std::size_t k = 0; k < params.generation_blocks + 2; ++k) {
+        pkts.push_back(enc.encode_random());
+      }
+    }
+  }
+
+  /// True if `pkt`'s payload is the combination its coefficients name.
+  [[nodiscard]] bool consistent(const coding::CodedPacket& pkt) const {
+    std::mt19937 unused(0);
+    const coding::Generation source = provider.generation(pkt.generation);
+    const coding::Encoder enc(1, source, unused);
+    return std::ranges::equal(enc.encode_with(pkt.coeffs()).payload(),
+                              pkt.payload());
+  }
+
+  app::SyntheticProvider provider;
+  std::vector<std::vector<coding::CodedPacket>> packets;
+};
+
+/// Step `gen` (0..n) of a streamed run: the second half of generation
+/// gen - 1, which completes it, then the first half of generation gen,
+/// which leaves it decoding.
+void send_step(Rig& rig, const CodedStream& stream, coding::GenerationId gen,
+               netsim::Port port) {
+  constexpr std::size_t kHalf = 3;
+  if (gen > 0) {
+    const auto& prev = stream.packets[gen - 1];
+    for (std::size_t k = kHalf; k < prev.size(); ++k) {
+      rig.send_packet(prev[k], port);
+    }
+  }
+  if (gen < stream.packets.size()) {
+    for (std::size_t k = 0; k < kHalf; ++k) {
+      rig.send_packet(stream.packets[gen][k], port);
+    }
+  }
+  rig.net.sim().run();
+}
+
+}  // namespace
+
+TEST(CodingVnf, DecodeRoleReleasesDeliveredGenerations) {
+  Rig rig;
+  rig.params.buffer_generations = 8;
+  const std::size_t g = rig.params.generation_blocks;
+  const coding::GenerationId kGens = 3 * 8 + 1;
+  const CodedStream stream(rig.params, kGens);
+  CodingVnf vnf(rig.net, rig.relay, rig.vnf_config());
+  vnf.configure_session(1, VnfRole::kDecode, 9000);
+  std::map<coding::GenerationId, int> deliveries;
+  vnf.set_decode_sink([&](coding::SessionId, coding::GenerationId gen,
+                          std::vector<std::vector<std::uint8_t>> blocks) {
+    ++deliveries[gen];
+    const auto src = stream.provider.generation(gen);
+    ASSERT_EQ(blocks.size(), g);
+    for (std::size_t i = 0; i < g; ++i) {
+      EXPECT_TRUE(std::ranges::equal(blocks[i], src.block(i)))
+          << "generation " << gen << " block " << i;
+    }
+  });
+
+  for (coding::GenerationId gen = 0; gen <= kGens; ++gen) {
+    send_step(rig, stream, gen, 9000);
+    // Only the generation still decoding holds rows; every delivered one
+    // gave its rows back.
+    const coding::Decoder* open = vnf.find_decoder(1, gen);
+    const std::size_t decoding_rows =
+        gen < kGens && open != nullptr ? open->rank() : 0;
+    EXPECT_EQ(vnf.buffer().pool().stats().outstanding(), decoding_rows)
+        << "after step " << gen;
+    // The FIFO still counts the delivered generations.
+    EXPECT_EQ(vnf.buffer().generations_buffered(),
+              std::min<std::size_t>(gen + 1, 8));
+  }
+  EXPECT_EQ(vnf.buffer().generations_buffered(), 8u);
+  EXPECT_EQ(vnf.buffer().evictions(), kGens - 8);
+  ASSERT_EQ(deliveries.size(), kGens);
+  for (const auto& [gen, n] : deliveries) EXPECT_EQ(n, 1) << gen;
+  EXPECT_EQ(vnf.stats(1).decoded_generations, kGens);
+
+  // A late duplicate of a delivered, still-buffered generation.
+  const coding::GenerationId late = kGens - 2;
+  const coding::Decoder* dec = vnf.find_decoder(1, late);
+  ASSERT_NE(dec, nullptr);
+  EXPECT_TRUE(dec->released());
+  const std::size_t seen = dec->packets_seen();
+  const VnfSessionStats before = vnf.stats(1);
+  rig.send_packet(stream.packets[late][0], 9000);
+  rig.net.sim().run();
+  EXPECT_EQ(vnf.stats(1).received, before.received + 1);
+  EXPECT_EQ(vnf.stats(1).innovative, before.innovative);
+  EXPECT_EQ(vnf.stats(1).decoded_generations, kGens);
+  EXPECT_EQ(deliveries[late], 1);
+  EXPECT_EQ(dec->packets_seen(), seen + 1);
+  EXPECT_EQ(dec->rank(), g);
+  EXPECT_TRUE(dec->complete());
+  for (std::size_t c = 0; c < g; ++c) EXPECT_TRUE(dec->has_pivot(c));
+  EXPECT_EQ(vnf.buffer().pool().stats().outstanding(), 0u);
+}
+
+TEST(CodingVnf, RecodeRoleKeepsRowsForLateArrivals) {
+  Rig rig;
+  rig.params.buffer_generations = 8;
+  const std::size_t g = rig.params.generation_blocks;
+  const coding::GenerationId kGens = 3 * 8 + 1;
+  const CodedStream stream(rig.params, kGens);
+  CodingVnf relay(rig.net, rig.relay, rig.vnf_config());
+  relay.configure_session(1, VnfRole::kRecode, 9000);
+  relay.set_next_hops(1, {NextHopRate{NextHop{rig.dst, 9000}, 1.0}});
+  std::vector<coding::CodedPacket> out;
+  rig.net.bind(rig.dst, 9000, [&](const netsim::Datagram& d) {
+    out.push_back(*coding::CodedPacket::parse(d.payload, rig.params));
+  });
+
+  for (coding::GenerationId gen = 0; gen <= kGens; ++gen) {
+    send_step(rig, stream, gen, 9000);
+  }
+  // Every buffered generation keeps its rows for repairs.
+  std::size_t rows = 0;
+  for (coding::GenerationId gen = kGens - 8; gen < kGens; ++gen) {
+    const coding::Decoder* dec = relay.find_decoder(1, gen);
+    ASSERT_NE(dec, nullptr);
+    EXPECT_FALSE(dec->released());
+    EXPECT_TRUE(dec->complete());
+    rows += dec->rank();
+  }
+  EXPECT_EQ(rows, 8 * g);
+  EXPECT_EQ(relay.buffer().pool().stats().outstanding(), rows);
+
+  // A late arrival is recoded from the held rows.
+  out.clear();
+  rig.send_packet(stream.packets[kGens - 2][0], 9000);
+  rig.net.sim().run();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].generation, kGens - 2);
+  EXPECT_FALSE(out[0].systematic_index().has_value());
+  EXPECT_TRUE(stream.consistent(out[0]));
+}
+
+TEST(CodingVnf, SwitchFromDecodeNeverRecodesReleasedGenerations) {
+  Rig rig;
+  const coding::GenerationId kGens = 4;
+  const CodedStream stream(rig.params, kGens);
+  CodingVnf vnf(rig.net, rig.relay, rig.vnf_config());
+  vnf.configure_session(1, VnfRole::kDecode, 9000);
+  for (coding::GenerationId gen = 0; gen <= kGens; ++gen) {
+    send_step(rig, stream, gen, 9000);
+  }
+  ASSERT_EQ(vnf.stats(1).decoded_generations, kGens);
+  ASSERT_TRUE(vnf.find_decoder(1, 2)->released());
+
+  // The session becomes a relay: its delivered generations are dropped,
+  // so late arrivals rebuild state from what they carry.
+  vnf.configure_session(1, VnfRole::kRecode, 9000);
+  vnf.set_next_hops(1, {NextHopRate{NextHop{rig.dst, 9000}, 1.0}});
+  for (coding::GenerationId gen = 0; gen < kGens; ++gen) {
+    EXPECT_EQ(vnf.find_decoder(1, gen), nullptr) << gen;
+  }
+  std::vector<coding::CodedPacket> out;
+  rig.net.bind(rig.dst, 9000, [&](const netsim::Datagram& d) {
+    out.push_back(*coding::CodedPacket::parse(d.payload, rig.params));
+  });
+  rig.send_packet(stream.packets[2][0], 9000);
+  rig.send_packet(stream.packets[2][1], 9000);
+  rig.net.sim().run();
+  const coding::Decoder* dec = vnf.find_decoder(1, 2);
+  ASSERT_NE(dec, nullptr);
+  EXPECT_FALSE(dec->released());
+  EXPECT_EQ(dec->rank(), 2u);
+  // The first passes through, the second is recoded from the fresh rows.
+  ASSERT_EQ(out.size(), 2u);
+  for (const coding::CodedPacket& pkt : out) {
+    EXPECT_EQ(pkt.generation, 2u);
+    EXPECT_TRUE(stream.consistent(pkt));
+  }
+}
+
+TEST(CodingVnf, SwitchToDecodeDropsHeldRecodesOfDeliveredGenerations) {
+  Rig rig;
+  const CodedStream stream(rig.params, 1);
+  CodingVnf vnf(rig.net, rig.relay, rig.vnf_config());
+  vnf.configure_session(1, VnfRole::kRecode, 9000);
+  vnf.set_next_hops(1, {NextHopRate{NextHop{rig.dst, 9000}, 1.0}});
+  int sent_on = 0;
+  rig.net.bind(rig.dst, 9000, [&](const netsim::Datagram&) { ++sent_on; });
+  // Rank 2 of 4: both earned emissions are held for recode_hold_s.
+  rig.send_packet(stream.packets[0][0], 9000);
+  rig.send_packet(stream.packets[0][1], 9000);
+  rig.net.sim().run_until(0.01);
+  ASSERT_EQ(sent_on, 0);
+  // The session becomes a destination and delivers the generation before
+  // the hold expires; the expiring hold must not recode from it.
+  vnf.configure_session(1, VnfRole::kDecode, 9000);
+  for (std::size_t k = 2; k < stream.packets[0].size(); ++k) {
+    rig.send_packet(stream.packets[0][k], 9000);
+  }
+  rig.net.sim().run();
+  EXPECT_EQ(vnf.stats(1).decoded_generations, 1u);
+  EXPECT_TRUE(vnf.find_decoder(1, 0)->released());
+  EXPECT_EQ(sent_on, 0);
+}
+
+TEST(CodingVnf, GenerationReopenedWithinOneBatchIsDeliveredOnce) {
+  // With a one-generation buffer, one batch [A, B, A] evicts A's decoder
+  // and reopens A, so both runs of A meet the reopened decoder at emit.
+  Rig rig;
+  rig.params.buffer_generations = 1;
+  const std::size_t g = rig.params.generation_blocks;
+  app::SyntheticProvider provider(5, rig.params.generation_bytes() * 2,
+                                  rig.params);
+  const coding::Generation a = provider.generation(0);
+  const coding::Generation b = provider.generation(1);
+  std::mt19937 rng(11);
+  coding::Encoder enc_a(1, a, rng);
+  coding::Encoder enc_b(1, b, rng);
+  CodingVnf vnf(rig.net, rig.relay, rig.vnf_config());
+  vnf.configure_session(1, VnfRole::kDecode, 9000);
+  int delivered = 0;
+  vnf.set_decode_sink([&](coding::SessionId, coding::GenerationId gen,
+                          std::vector<std::vector<std::uint8_t>> blocks) {
+    ++delivered;
+    EXPECT_EQ(gen, 0u);
+    ASSERT_EQ(blocks.size(), g);
+    for (std::size_t i = 0; i < g; ++i) {
+      EXPECT_TRUE(std::ranges::equal(blocks[i], a.block(i))) << i;
+    }
+  });
+  const auto burst = [&](std::size_t a_again) {
+    std::vector<netsim::Datagram> out;
+    const auto add = [&](const coding::CodedPacket& pkt) {
+      netsim::Datagram& d = out.emplace_back();
+      d.src = rig.src;
+      d.dst = rig.relay;
+      d.dst_port = 9000;
+      d.payload = pkt.serialize();
+    };
+    for (std::size_t i = 0; i < g; ++i) add(enc_a.encode_systematic(i));
+    add(enc_b.encode_systematic(0));
+    for (std::size_t i = 0; i < a_again; ++i) add(enc_a.encode_systematic(i));
+    rig.net.send_burst(std::move(out));
+    rig.net.sim().run();
+  };
+
+  // Reopened A still incomplete: nothing to recover yet.
+  burst(1);
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(vnf.find_decoder(1, 0)->rank(), 1u);
+  // Reopened A complete: delivered at the first run, released, and the
+  // second run must not recover it again.
+  burst(g);
+  EXPECT_EQ(delivered, 1);
+  EXPECT_TRUE(vnf.find_decoder(1, 0)->released());
 }
 
 TEST(CodingVnf, ProcessingLaneSaturationDropsPackets) {

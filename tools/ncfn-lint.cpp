@@ -60,6 +60,11 @@
 //   ref-capture-thread   no default [&] capture handed to a thread or
 //                        pool entry point — cross-thread lambdas must
 //                        name their captures so sharing is explicit
+//   span-copy            no std::ranges::copy / copy_n in the data-plane
+//                        dirs (src/gf, src/coding, src/netsim, src/vnf)
+//                        — between byte spans gcc -O2 compiles it to a
+//                        one-byte-per-iteration loop; coding::copy_bytes
+//                        is one memcpy
 //
 // Escape hatch: a line carrying the comment
 //     // ncfn-lint: allow(<rule>[,<rule>...]) — <justification>
@@ -100,6 +105,7 @@ enum class Scope {
   kObsEmitters,  // files that emit trace/metrics output
   kHotPath,      // src/gf, src/coding, src/netsim
   kVnfHotPath,   // src/vnf — the batched data plane
+  kDataPlane,    // kHotPath and kVnfHotPath together
 };
 
 struct Rule {
@@ -150,6 +156,9 @@ constexpr Rule kRules[] = {
     {"ref-capture-thread", Scope::kEverywhere,
      "default [&] capture handed to a thread/pool entry point; name the "
      "captures so cross-thread lifetime and sharing stay explicit"},
+    {"span-copy", Scope::kDataPlane,
+     "std::ranges::copy in a data-plane dir compiles to a byte-at-a-time "
+     "loop over spans; use coding::copy_bytes (src/coding/byteview.hpp)"},
 };
 
 // Files exempt from a rule by design (normalized path suffix match).
@@ -428,6 +437,13 @@ bool matches_ref_capture_thread(const std::string& code) {
   return std::regex_search(code, entry);
 }
 
+bool matches_span_copy(const std::string& code) {
+  // ranges::copy and ranges::copy_n, qualified or not; copy_backward and
+  // the other copy_* spellings continue with '_' where '(' is required.
+  static const std::regex re("(^|[^_\\w])ranges::copy(_n)?\\s*\\(");
+  return std::regex_search(code, re);
+}
+
 bool matches_throwing_numparse(const std::string& code) {
   // std::stoi/stol/stoul/stod/... (throwing), the atoi family (no error
   // reporting at all) and the strtol family (errno-based) — every
@@ -518,6 +534,11 @@ bool rule_applies(const Rule& rule, const std::string& path,
       return false;
     case Scope::kVnfHotPath:
       return path.find("src/vnf/") != std::string::npos;
+    case Scope::kDataPlane:
+      for (const char* dir : kHotPathDirs) {
+        if (path.find(dir) != std::string::npos) return true;
+      }
+      return path.find("src/vnf/") != std::string::npos;
   }
   return false;
 }
@@ -582,6 +603,8 @@ std::vector<Finding> lint_file(const fs::path& file, bool ignore_scopes) {
         hit = matches_detached_thread(ln.code);
       } else if (id == "ref-capture-thread") {
         hit = matches_ref_capture_thread(ln.code);
+      } else if (id == "span-copy") {
+        hit = matches_span_copy(ln.code);
       }
       if (hit && !allowed(rule.id)) {
         findings.push_back({path, i + 1, rule.id, rule.message});
@@ -648,6 +671,8 @@ const char* scope_name(Scope s) {
       return "hot-path";
     case Scope::kVnfHotPath:
       return "vnf-hot-path";
+    case Scope::kDataPlane:
+      return "data-plane";
   }
   return "?";
 }
