@@ -112,10 +112,10 @@ TimedRun timed_run(const app::Scenario& scenario,
                    const ctrl::DeploymentPlan& plan, std::size_t workers,
                    double duration_s) {
   const auto t0 = std::chrono::steady_clock::now();
-  app::ShardedRunOptions opts;
+  app::RunOptions opts;
   opts.workers = workers;
   opts.duration_s = duration_s;
-  app::ShardedScenarioRun run(scenario, plan, opts);
+  app::ScenarioRun run(scenario, plan, opts);
   run.run();
   TimedRun out;
   out.ms = wall_ms(t0);

@@ -1,6 +1,6 @@
 // Scenario files: a line-oriented text format describing an overlay and
 // its multicast sessions, consumed by the CLI tools (tools/ncfn-plan,
-// tools/ncfn-run) and usable by any embedder.
+// tools/ncfn-run, tools/ncfn-sweep) and usable by any embedder.
 //
 //   # comments and blank lines are ignored
 //   alpha 20                                # VNF cost (Mbps-equivalent)
@@ -60,11 +60,10 @@ struct Scenario {
   /// packets drained per lane service event. 1 = strict per-packet
   /// processing (the pre-batching baseline).
   std::size_t max_batch = coding::kBatchCapacity;
-  /// Worker threads for the sharded engine (`workers <n>`). 0 (the
-  /// default) keeps the legacy single-engine path; any value >= 1 runs
-  /// the scenario through app::ShardedScenarioRun. Never affects
-  /// results — only which threads execute which shard.
-  std::size_t workers = 0;
+  /// Worker threads app::ScenarioRun runs the shards on (`workers <n>`,
+  /// >= 1). Never affects results — only which threads execute which
+  /// shard.
+  std::size_t workers = 1;
 
   [[nodiscard]] std::string node_name(graph::NodeIdx idx) const;
 };

@@ -7,6 +7,7 @@
 #include "netsim/loss.hpp"
 #include "netsim/seedstream.hpp"
 #include "obs/merge.hpp"
+#include "vnf/daemon.hpp"
 
 namespace ncfn::app {
 
@@ -53,6 +54,20 @@ std::vector<graph::NodeIdx> session_nodes(const graph::Topology& topo,
   return nodes;
 }
 
+bool has_faults(const Scenario& s) {
+  return !s.failures.empty() || !s.crashes.empty();
+}
+
+/// Every session in one shard: a scenario with fail/crash lines, whose
+/// live controller re-solves across all its sessions.
+ShardPlan one_shard(std::size_t sessions) {
+  ShardPlan out;
+  out.session_shard.assign(sessions, 0);
+  out.shard_sessions.emplace_back(sessions);
+  std::iota(out.shard_sessions[0].begin(), out.shard_sessions[0].end(), 0);
+  return out;
+}
+
 }  // namespace
 
 ShardPlan partition_sessions(const graph::Topology& topo,
@@ -85,64 +100,21 @@ ShardPlan partition_sessions(const graph::Topology& topo,
   return out;
 }
 
-void run_shard_windows(netsim::WorkerPool& pool,
-                       std::span<const std::unique_ptr<SimShard>> shards,
-                       double t_end, double window_s) {
-  if (window_s <= 0) window_s = t_end;
-  double window_end = 0;
-  while (window_end < t_end) {
-    window_end = std::min(window_end + window_s, t_end);
-    // Named captures only: ncfn-lint's ref-capture-thread rule bans a
-    // default [&] handed to a pool submit, so every object a lane can
-    // reach is spelled out at the capture.
-    pool.run(shards.size(), [&shards, window_end](std::size_t k) {
-      SimShard& shard = *shards[k];
-      // The barrier handed this lane shard k for this window.
-      shard.owner.assert_held();
-      shard.events += shard.sim->net().sim().run_until(window_end);
-    });
-    // pool.run IS the barrier: no shard enters the next window before
-    // every shard has reached the edge of this one.
-  }
-}
-
-std::string merged_trace(std::span<const std::unique_ptr<SimShard>> shards) {
-  std::vector<const obs::EventTrace*> traces;
-  traces.reserve(shards.size());
-  for (const auto& s : shards) {
-    // Post-barrier: the single calling thread owns every shard, and the
-    // merge inputs are quiescent (obs/merge.hpp contract).
-    s->owner.assert_held();
-    traces.push_back(&s->sim->trace());
-  }
-  return obs::merge_traces(traces);
-}
-
-std::string merged_metrics_json(
-    std::span<const std::unique_ptr<SimShard>> shards) {
-  std::vector<const obs::MetricsRegistry*> regs;
-  regs.reserve(shards.size());
-  for (const auto& s : shards) {
-    s->owner.assert_held();  // post-barrier single-thread ownership
-    regs.push_back(&s->sim->metrics());
-  }
-  return obs::merge_metrics(regs).to_json();
-}
-
-ShardedScenarioRun::ShardedScenarioRun(const Scenario& scenario,
-                                       const ctrl::DeploymentPlan& plan,
-                                       const ShardedRunOptions& opts)
+ScenarioRun::ScenarioRun(const Scenario& scenario,
+                         const ctrl::DeploymentPlan& plan,
+                         const RunOptions& opts)
     : scenario_(&scenario),
       plan_(&plan),
       opts_(opts),
-      parts_(partition_sessions(scenario.topo, plan, scenario.sessions)),
+      parts_(has_faults(scenario)
+                 ? one_shard(scenario.sessions.size())
+                 : partition_sessions(scenario.topo, plan, scenario.sessions)),
       pool_(opts.workers) {}
 
-void ShardedScenarioRun::build_shard(std::size_t k) {
+std::unique_ptr<SimShard> ScenarioRun::build_shard(std::size_t k) const {
   auto shard = std::make_unique<SimShard>();
-  // The building lane owns the freshly allocated shard outright until
-  // the move into shards_[k] publishes it (the run() barrier is the
-  // release point).
+  // The lane running job k owns the freshly allocated shard outright
+  // until run() publishes it into shards_[k].
   shard->owner.assert_held();
   SimNetConfig scfg;
   // The shard's network RNG (jitter, probe noise, loss draws) is a
@@ -165,9 +137,9 @@ void ShardedScenarioRun::build_shard(std::size_t k) {
 
   coding::CodingParams params;
   for (const std::size_t m : parts_.shard_sessions[k]) {
-    // Per-SESSION seeds match the single-engine path (tools/ncfn-run):
-    // session content and wiring depend on the global session index, so
-    // regrouping sessions into shards never changes what a session sends.
+    // Session content and wiring seeds depend on the global session
+    // index, so regrouping sessions into shards never changes what a
+    // session sends.
     const double lambda = plan_->lambda_mbps[m];
     shard->providers.push_back(std::make_unique<SyntheticProvider>(
         opts_.seed + m,
@@ -189,19 +161,104 @@ void ShardedScenarioRun::build_shard(std::size_t k) {
     }
     shard->session_index.push_back(m);
   }
+  if (has_faults(*scenario_)) schedule_faults(*shard);
   for (auto& s : shard->sessions) s->start();
-  shards_[k] = std::move(shard);
+  return shard;
 }
 
-void ShardedScenarioRun::run() {
+void ScenarioRun::schedule_faults(SimShard& shard) const {
+  // Called by build_shard on the lane that owns the shard. The shard
+  // holds every session (one_shard), so local index == scenario index.
+  shard.owner.assert_held();
+  const graph::Topology& topo = scenario_->topo;
+  const std::vector<ctrl::SessionSpec>& specs = scenario_->sessions;
+  ctrl::Controller::Config ccfg;
+  ccfg.alpha = scenario_->alpha;
+  shard.controller = std::make_unique<ctrl::Controller>(topo, ccfg);
+  shard.controller->set_obs(&shard.sim->obs());
+  for (const ctrl::SessionSpec& spec : specs) {
+    shard.controller->add_session(spec, 0.0);
+  }
+
+  // Every handler below is a simulator event: it runs inside run_until,
+  // on the lane that owns the shard. Sessions are found in the live plan
+  // by id; one the controller did not admit keeps its initial wiring.
+  const auto rewire = [&shard, &specs](std::size_t m) {
+    shard.owner.assert_held();
+    const ctrl::DeploymentPlan& live = shard.controller->plan();
+    if (const auto row = live.session_index(specs[m].id)) {
+      shard.sessions[m]->rewire(live, *row);
+    }
+  };
+  netsim::Simulator& clock = shard.sim->net().sim();
+  for (const LinkFailure& lf : scenario_->failures) {
+    const graph::EdgeIdx e = topo.find_edge(lf.from, lf.to);
+    clock.schedule_at(lf.at_s, [&shard, &specs, &clock, rewire, e] {
+      shard.owner.assert_held();
+      const ctrl::DeploymentPlan& live = shard.controller->plan();
+      std::vector<std::size_t> affected;
+      for (std::size_t m = 0; m < specs.size(); ++m) {
+        const auto row = live.session_index(specs[m].id);
+        if (row && live.edge_rate_mbps[*row].count(e) > 0) {
+          affected.push_back(m);
+        }
+      }
+      shard.sim->link(e)->set_up(false);
+      shard.controller->report_link_state(e, false, clock.now());
+      for (const std::size_t m : affected) rewire(m);
+    });
+    if (lf.for_s <= 0) continue;  // the link stays down
+    clock.schedule_at(lf.at_s + lf.for_s, [&shard, &specs, &clock, rewire, e] {
+      shard.owner.assert_held();
+      shard.sim->link(e)->set_up(true);
+      shard.controller->report_link_state(e, true, clock.now());
+      // Recovery unfreezes everything; rewire every session.
+      for (std::size_t m = 0; m < specs.size(); ++m) rewire(m);
+    });
+  }
+  for (const VnfCrash& c : scenario_->crashes) {
+    clock.schedule_at(c.at_s, [&shard, &specs, &topo, c] {
+      shard.owner.assert_held();
+      if (vnf::CodingVnf* v = shard.sim->find_vnf(c.node)) v->crash();
+      const ctrl::DeploymentPlan& live = shard.controller->plan();
+      for (std::size_t m = 0; m < specs.size(); ++m) {
+        const auto row = live.session_index(specs[m].id);
+        if (!row) continue;
+        bool uses = false;
+        for (const auto& [e, rate] : live.edge_rate_mbps[*row]) {
+          const graph::EdgeInfo& ei = topo.edge(e);
+          uses = uses || ei.from == c.node || ei.to == c.node;
+        }
+        if (!uses) continue;
+        NcMulticastSession& session = *shard.sessions[m];
+        for (std::size_t r = 0; r < session.receiver_count(); ++r) {
+          session.receiver(r).mark_disruption();
+        }
+      }
+    });
+    const double restart_after =
+        c.for_s > 0 ? c.for_s : vnf::DaemonConfig{}.vnf_start_s;
+    clock.schedule_at(c.at_s + restart_after, [&shard, c] {
+      shard.owner.assert_held();
+      if (vnf::CodingVnf* v = shard.sim->find_vnf(c.node)) v->restart();
+    });
+  }
+}
+
+void ScenarioRun::run() {
   shards_.resize(parts_.shard_count());
-  // Shard construction is per-shard work too (providers, pools, VNF
-  // wiring), so it fans out across the same lanes as the windows do.
-  pool_.run(parts_.shard_count(), [this](std::size_t k) { build_shard(k); });
-  run_shard_windows(pool_, shards_, opts_.duration_s, opts_.window_s);
+  // Shards share nothing, so each lane builds its shards and runs them
+  // to the end with no barrier in between. pool_.run returning is the
+  // one barrier; after it this thread owns every shard.
+  pool_.run(parts_.shard_count(), [this](std::size_t k) {
+    std::unique_ptr<SimShard> shard = build_shard(k);
+    shard->owner.assert_held();  // still private to this lane
+    shard->events = shard->sim->net().sim().run_until(opts_.duration_s);
+    shards_[k] = std::move(shard);
+  });
 }
 
-std::uint64_t ShardedScenarioRun::events_executed() const {
+std::uint64_t ScenarioRun::events_executed() const {
   std::uint64_t total = 0;
   for (const auto& s : shards_) {
     s->owner.assert_held();  // post-barrier single-thread ownership
@@ -210,7 +267,7 @@ std::uint64_t ShardedScenarioRun::events_executed() const {
   return total;
 }
 
-std::vector<ReceiverReport> ShardedScenarioRun::reports() const {
+std::vector<ReceiverReport> ScenarioRun::reports() const {
   std::vector<ReceiverReport> rows;
   for (std::size_t m = 0; m < scenario_->sessions.size(); ++m) {
     const ctrl::SessionSpec& spec = scenario_->sessions[m];
@@ -218,17 +275,14 @@ std::vector<ReceiverReport> ShardedScenarioRun::reports() const {
     shard.owner.assert_held();  // post-barrier single-thread ownership
     std::size_t local = 0;
     while (shard.session_index[local] != m) ++local;
-    const NcMulticastSession& session = *shard.sessions[local];
+    NcMulticastSession& session = *shard.sessions[local];
     for (std::size_t r = 0; r < session.receiver_count(); ++r) {
-      // reports() is const but receiver() is not; go through the shard's
-      // non-const session list instead of const_cast gymnastics.
-      auto& mutable_session = *shard.sessions[local];
-      const auto& st = mutable_session.receiver(r).stats();
+      const auto& st = session.receiver(r).stats();
       ReceiverReport row;
       row.session = spec.id;
       row.receiver = scenario_->node_name(spec.receivers[r]);
       row.planned_mbps = plan_->lambda_mbps[m];
-      row.goodput_mbps = mutable_session.receiver(r).goodput_mbps();
+      row.goodput_mbps = session.receiver(r).goodput_mbps();
       row.repair_requests = st.repair_requests_sent;
       row.verify_failures = st.verify_failures;
       rows.push_back(std::move(row));
@@ -237,12 +291,26 @@ std::vector<ReceiverReport> ShardedScenarioRun::reports() const {
   return rows;
 }
 
-std::string ShardedScenarioRun::trace_jsonl() const {
-  return merged_trace(shards_);
+std::string ScenarioRun::trace_jsonl() const {
+  std::vector<const obs::EventTrace*> traces;
+  traces.reserve(shards_.size());
+  for (const auto& s : shards_) {
+    // Post-barrier: the single calling thread owns every shard, and the
+    // merge inputs are quiescent (obs/merge.hpp contract).
+    s->owner.assert_held();
+    traces.push_back(&s->sim->trace());
+  }
+  return obs::merge_traces(traces);
 }
 
-std::string ShardedScenarioRun::metrics_json() const {
-  return merged_metrics_json(shards_);
+std::string ScenarioRun::metrics_json() const {
+  std::vector<const obs::MetricsRegistry*> regs;
+  regs.reserve(shards_.size());
+  for (const auto& s : shards_) {
+    s->owner.assert_held();  // post-barrier single-thread ownership
+    regs.push_back(&s->sim->metrics());
+  }
+  return obs::merge_metrics(regs).to_json();
 }
 
 }  // namespace ncfn::app

@@ -1,15 +1,16 @@
-// Multi-worker simulation engine: deterministic sharding of independent
-// sessions across worker threads.
+// The scenario runner: every scenario run (ncfn-run, ncfn-sweep,
+// bench_scale, the tests) goes through app::ScenarioRun, which shards
+// independent sessions across worker threads deterministically.
 //
 // The paper's evaluation is many concurrent NC sessions on Internet
 // paths; one discrete-event queue cannot reach that scale wall-clock-
-// wise. The engine here shards the run (BESS master/worker split): each
+// wise. The runner shards the run (BESS master/worker split): each
 // shard owns a disjoint set of sessions plus its OWN SimNet — event
 // queue, links, VNFs, packet pools, observability hub, and an RNG stream
 // split from the root seed by SHARD index (netsim/seedstream.hpp). The
-// worker pool advances all shards in barrier-synchronized lockstep time
-// windows; after the final barrier the per-shard traces are k-way merged
-// in sim-time order and the per-shard metrics registries are folded
+// worker pool builds every shard and runs it to the end of the run;
+// after that one barrier the per-shard traces are k-way merged in
+// sim-time order and the per-shard metrics registries are folded
 // (obs/merge.hpp).
 //
 // Determinism argument, in one paragraph: sessions are grouped so that
@@ -21,10 +22,13 @@
 // in any seed, any schedule, or any merge key. Hence the same seed
 // produces byte-identical merged traces and metrics for 1, 2 or 8
 // workers — the property CI's worker-count determinism gate enforces.
+//
+// A scenario with `fail`/`crash` lines runs as ONE shard holding every
+// session: its live controller re-solves across sessions, which couples
+// them all.
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -32,6 +36,7 @@
 #include "app/provider.hpp"
 #include "app/runtime.hpp"
 #include "common/sync.hpp"
+#include "ctrl/controller.hpp"
 #include "ctrl/problem.hpp"
 #include "netsim/worker.hpp"
 
@@ -60,16 +65,15 @@ struct ShardPlan {
 
 /// One worker-owned shard: a private SimNet plus the sessions living on
 /// it. Everything reachable from here is touched by exactly one worker
-/// lane during a window.
+/// lane during the run.
 ///
-/// Ownership is transferred structurally, not by a lock: the building
-/// lane owns the shard during construction, the pool barrier hands it
-/// to lane (k % W) for each window, and after the final barrier the
-/// caller's single thread owns every shard. The `owner` Role makes that
-/// handoff a compile-time contract — all state is NCFN_GUARDED_BY(owner)
-/// and each code path declares how it came to own the shard with
-/// owner.assert_held() (no-op at runtime; required by the `analyze`
-/// preset's -Wthread-safety pass).
+/// Ownership is transferred structurally, not by a lock: the lane that
+/// runs job k builds shard k and runs it to the end, and after the pool
+/// barrier the caller's single thread owns every shard. The `owner` Role
+/// makes that handoff a compile-time contract — all state is
+/// NCFN_GUARDED_BY(owner) and each code path declares how it came to own
+/// the shard with owner.assert_held() (no-op at runtime; required by the
+/// `analyze` preset's -Wthread-safety pass).
 struct SimShard {
   common::Role owner;
   std::unique_ptr<SimNet> sim NCFN_GUARDED_BY(owner);
@@ -79,33 +83,14 @@ struct SimShard {
       NCFN_GUARDED_BY(owner);
   // Global index per entry.
   std::vector<std::size_t> session_index NCFN_GUARDED_BY(owner);
-  // Events executed by run_shard_windows.
+  // The live controller of a scenario with fail/crash lines (null
+  // otherwise): it mirrors the deployment and re-solves on each outage.
+  std::unique_ptr<ctrl::Controller> controller NCFN_GUARDED_BY(owner);
   std::uint64_t events NCFN_GUARDED_BY(owner) = 0;
 };
 
-/// Advance every shard to `t_end` in barrier-synchronized lockstep
-/// windows of `window_s` simulated seconds: within a window each worker
-/// drains its shards' queues up to the window edge, then all workers
-/// barrier before the next window opens. Shards are independent, so the
-/// window size cannot change any shard's outcome (tested); it exists to
-/// bound inter-shard skew, which is what will let windowed shards
-/// exchange cross-shard traffic at window boundaries when topology-
-/// region sharding lands. window_s <= 0 runs a single window.
-void run_shard_windows(netsim::WorkerPool& pool,
-                       std::span<const std::unique_ptr<SimShard>> shards,
-                       double t_end, double window_s);
-
-/// Per-shard traces k-way merged in (sim time, shard) order.
-[[nodiscard]] std::string merged_trace(
-    std::span<const std::unique_ptr<SimShard>> shards);
-
-/// Per-shard metrics folded into one deterministic JSON snapshot.
-[[nodiscard]] std::string merged_metrics_json(
-    std::span<const std::unique_ptr<SimShard>> shards);
-
-struct ShardedRunOptions {
+struct RunOptions {
   std::size_t workers = 1;
-  double window_s = 0.050;
   double duration_s = 5.0;
   int redundancy = 0;
   double loss = 0.0;  // i.i.d. loss applied to every DC-DC link
@@ -123,21 +108,19 @@ struct ReceiverReport {
   std::uint64_t verify_failures = 0;
 };
 
-/// The sharded scenario engine behind `ncfn-run --workers` and
-/// `ncfn-sweep`: partitions the plan's sessions, builds one shard per
-/// group (in parallel — construction is per-shard work too), runs the
-/// lockstep windows, and exposes deterministically merged outputs.
-/// Scenarios with fail/crash lines are not supported here (the live
-/// controller is a cross-session coupling); callers route those through
-/// the single-engine path.
-class ShardedScenarioRun {
+/// The one scenario runner: partitions the plan's sessions, then each
+/// worker lane builds its shards and runs them to opts.duration_s.
+/// Outputs are merged deterministically. A scenario with fail/crash
+/// lines is one shard with a live controller: the outages are scheduled
+/// before the sessions start, and each one re-solves the deployment and
+/// rewires the sessions the controller admitted.
+class ScenarioRun {
  public:
   /// `scenario` and `plan` must outlive the run.
-  ShardedScenarioRun(const Scenario& scenario,
-                     const ctrl::DeploymentPlan& plan,
-                     const ShardedRunOptions& opts);
+  ScenarioRun(const Scenario& scenario, const ctrl::DeploymentPlan& plan,
+              const RunOptions& opts);
 
-  /// Build every shard and advance to opts.duration_s.
+  /// Build every shard and run it to opts.duration_s.
   void run();
 
   [[nodiscard]] const ShardPlan& shard_plan() const { return parts_; }
@@ -149,11 +132,12 @@ class ShardedScenarioRun {
   [[nodiscard]] std::string metrics_json() const;
 
  private:
-  void build_shard(std::size_t k);
+  [[nodiscard]] std::unique_ptr<SimShard> build_shard(std::size_t k) const;
+  void schedule_faults(SimShard& shard) const;
 
   const Scenario* scenario_;
   const ctrl::DeploymentPlan* plan_;
-  ShardedRunOptions opts_;
+  RunOptions opts_;
   ShardPlan parts_;
   netsim::WorkerPool pool_;
   std::vector<std::unique_ptr<SimShard>> shards_;

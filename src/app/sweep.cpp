@@ -25,13 +25,13 @@ std::vector<SweepCell> run_sweep(const Scenario& scenario,
     Scenario cell_scenario = scenario;
     if (matrix.batches[bi] != 0) cell_scenario.max_batch = matrix.batches[bi];
 
-    ShardedRunOptions opts;
+    RunOptions opts;
     opts.workers = 1;  // parallelism lives across cells, not inside one
     opts.duration_s = matrix.duration_s;
     opts.redundancy = matrix.redundancy;
     opts.loss = matrix.losses[li];
     opts.seed = matrix.seeds[si];
-    ShardedScenarioRun run(cell_scenario, plan, opts);
+    ScenarioRun run(cell_scenario, plan, opts);
     run.run();
 
     SweepCell& cell = cells[j];

@@ -1,9 +1,9 @@
 // Embarrassingly-parallel scenario sweeps: fan a (seeds x losses x
 // batches) matrix over one scenario across worker lanes, one full
-// ShardedScenarioRun per cell, and emit one deterministic JSON document.
+// ScenarioRun per cell, and emit one deterministic JSON document.
 //
 // Parallelism here is ACROSS runs, not within them: each cell runs with
-// an inline single-worker engine, so a cell's result is a pure function
+// an inline single-worker runner, so a cell's result is a pure function
 // of (scenario, plan, cell parameters). Cells land in a pre-sized slot
 // array indexed by cell position, so the output JSON is in matrix order
 // and byte-identical for any --jobs value — the same contract the

@@ -91,10 +91,10 @@ class CondVar {
 };
 
 /// A phantom capability naming a LOGICAL ownership domain — no lock at
-/// runtime, zero bytes of behavior. The multi-worker engine transfers
-/// shard ownership structurally (the pool barrier hands shard k to lane
-/// k % W for a window; after the final barrier the caller owns all of
-/// them), so there is no mutex for the analysis to track. Instead the
+/// runtime, zero bytes of behavior. The scenario runner transfers
+/// shard ownership structurally (lane k % W builds and runs shard k;
+/// after the pool barrier the caller owns all of them), so there is no
+/// mutex for the analysis to track. Instead the
 /// shard's fields are NCFN_GUARDED_BY(owner) and every code path that
 /// legitimately holds the domain states so with assert_held(): the
 /// compiler then rejects any NEW code path that touches shard state

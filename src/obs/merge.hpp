@@ -20,7 +20,7 @@
 // may still be appending to any trace buffer or bumping any registry
 // when a merge starts. The callers guarantee this structurally: merges
 // run on the single post-barrier thread, after WorkerPool::run has
-// joined every lane's last window (shard ownership is the
+// joined every lane (shard ownership is the
 // NCFN_GUARDED_BY(owner) Role in app::SimShard; the shard accessors
 // assert it before handing buffers to the merge). The merge itself
 // never mutates its inputs, so no lock is taken here.

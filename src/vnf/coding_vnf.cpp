@@ -4,36 +4,7 @@
 #include <cassert>
 #include <numeric>
 
-#include "vnf/module.hpp"
-
 namespace ncfn::vnf {
-
-// --- pipeline stages --------------------------------------------------
-//
-// Two modules, wired ingest -> emit (gate 0). The ingest stage folds the
-// whole batch into the decoding matrices and annotates per-packet facts
-// (innovative / first-uncoded / completed-now) on the batch metadata; the
-// emit stage walks same-(session, generation) runs, settles emission
-// credits, and turns earned emissions into one outgoing burst.
-
-struct CodingVnf::IngestStage : Module {
-  explicit IngestStage(CodingVnf& v) : vnf(v) {}
-  [[nodiscard]] std::string_view name() const override { return "ingest"; }
-  void process(coding::PacketBatch& batch) override {
-    vnf.ingest_batch(batch);
-    emit(0, batch);
-  }
-  CodingVnf& vnf;
-};
-
-struct CodingVnf::EmitStage : Module {
-  explicit EmitStage(CodingVnf& v) : vnf(v) {}
-  [[nodiscard]] std::string_view name() const override { return "emit"; }
-  void process(coding::PacketBatch& batch) override {
-    vnf.emit_batch(batch);
-  }
-  CodingVnf& vnf;
-};
 
 CodingVnf::CodingVnf(netsim::Network& net, netsim::NodeId node,
                      const VnfConfig& cfg)
@@ -57,9 +28,6 @@ CodingVnf::CodingVnf(netsim::Network& net, netsim::NodeId node,
     static constexpr double kBatchBounds[] = {1, 2, 4, 8, 16, 32};
     h_batch_size_ = &obs->metrics.histogram(p + "batch_size", kBatchBounds);
   }
-  stage_ingest_ = std::make_unique<IngestStage>(*this);
-  stage_emit_ = std::make_unique<EmitStage>(*this);
-  stage_ingest_->connect(0, stage_emit_.get());
 }
 
 CodingVnf::~CodingVnf() {
@@ -310,6 +278,12 @@ void CodingVnf::drain(std::size_t lane_idx, std::size_t k,
 }
 
 // --- pipeline ---------------------------------------------------------
+//
+// Two passes over the batch. Ingest folds every packet into the decoding
+// matrices and annotates per-packet facts (innovative / first-uncoded /
+// completed-now) on the batch metadata; emit walks same-(session,
+// generation) runs, settles emission credits, and turns earned emissions
+// into one outgoing burst.
 
 void CodingVnf::run_pipeline(coding::PacketBatch& batch) {
   if (batch.empty()) return;
@@ -318,7 +292,8 @@ void CodingVnf::run_pipeline(coding::PacketBatch& batch) {
     h_batch_size_->record(static_cast<double>(batch.size()));
   }
   in_pipeline_ = true;
-  stage_ingest_->process(batch);
+  ingest_batch(batch);
+  emit_batch(batch);
   in_pipeline_ = false;
   batch.clear();
   flush_burst();
@@ -365,12 +340,6 @@ void CodingVnf::ingest_batch(coding::PacketBatch& batch) {
     if (first_of_generation && dec.rank() <= 1) m |= kMetaFirstUncoded;
     if (!was_complete && dec.complete()) m |= kMetaCompletedNow;
     batch.meta(p) = m;
-#ifdef NCFN_DEBUG_GEN0
-    if (pkt.generation == 0) {
-      printf("[%.6f] node=%u gen0 arrival rank=%zu innov=%d role=%d\n",
-             net_.sim().now(), node_, dec.rank(), (int)innov, (int)st.role);
-    }
-#endif
     if (tap_) {
       tap_(pkt.session, pkt.generation, dec.rank(), dec.complete(), innov);
     }

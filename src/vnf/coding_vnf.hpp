@@ -39,15 +39,15 @@
 //
 // Batched data plane (the BESS substitution): a lane is a batch server.
 // Arrivals enqueue; each service event drains up to `max_batch` packets
-// as one PacketBatch through a module pipeline (decode-ingest stage, then
-// credit-check/recode-emit stage — see module.hpp), charging the batch
-// k * service_time of lane time. Per-packet *simulated* cost is thus
-// unchanged, but the real-CPU fixed costs — simulator events, RNG draws,
-// map lookups, counter updates, pivot scans — amortize across the batch,
-// and every run of same-(session, generation) packets recodes through one
-// Decoder::recode_batch coefficient-matrix sweep and leaves through one
-// netsim burst (one departure + one delivery event). `max_batch = 1`
-// reproduces strict per-packet operation and is the bench baseline.
+// as one PacketBatch through two passes (decode-ingest, then
+// credit-check/recode-emit), charging the batch k * service_time of lane
+// time. Per-packet *simulated* cost is thus unchanged, but the real-CPU
+// fixed costs — simulator events, RNG draws, map lookups, counter updates,
+// pivot scans — amortize across the batch, and every run of same-(session,
+// generation) packets recodes through one Decoder::recode_batch
+// coefficient-matrix sweep and leaves through one netsim burst (one
+// departure + one delivery event). `max_batch = 1` reproduces strict
+// per-packet operation and is the bench baseline.
 //
 // When a DC runs several VNF instances, "packets belonging to the same
 // generation are dispatched to the same VNF instance" by hashing
@@ -58,7 +58,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <random>
 #include <span>
@@ -220,11 +219,6 @@ class CodingVnf {
     bool draining = false;  // a drain event is scheduled
   };
 
-  // Pipeline stages (module.hpp subclasses, defined in coding_vnf.cpp;
-  // nested so they reach the VNF's session/buffer state directly).
-  struct IngestStage;
-  struct EmitStage;
-
   // Per-packet metadata bits the ingest stage annotates on the batch for
   // the emit stage (PacketBatch::meta).
   static constexpr std::uint8_t kMetaInnovative = 0x01;
@@ -297,10 +291,8 @@ class CodingVnf {
   std::vector<coding::CodedPacket> paused_backlog_;
   DecodeSink sink_;
   PacketTap tap_;
-  // Pipeline wiring and reusable hot-path scratch (no steady-state
-  // allocation: the batches are pooled rows, the vectors keep capacity).
-  std::unique_ptr<IngestStage> stage_ingest_;
-  std::unique_ptr<EmitStage> stage_emit_;
+  // Reusable hot-path scratch (no steady-state allocation: the batches
+  // are pooled rows, the vectors keep capacity).
   coding::PacketBatch batch_;           // lane-drain working batch
   coding::PacketBatch recode_scratch_;  // recode_batch output staging
   std::vector<netsim::Datagram> out_burst_;

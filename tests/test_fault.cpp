@@ -376,7 +376,7 @@ FaultRun run_fault_scenario(std::uint32_t seed) {
                                   provider, wiring);
   session.receiver(0).set_verify(&provider);
 
-  // Apply the scenario's fail/crash lines the way tools/ncfn-run does.
+  // Apply the scenario's fail/crash lines the way app::ScenarioRun does.
   const app::LinkFailure lf = scenario->failures[0];
   const graph::EdgeIdx e = scenario->topo.find_edge(lf.from, lf.to);
   sim.net().sim().schedule_at(lf.at_s, [&, e] {

@@ -1,21 +1,26 @@
-// Multi-worker engine suite (ctest -L mt; CI runs it under TSan).
+// Scenario runner suite (ctest -L mt; CI runs it under TSan).
 //
-// The tests pin the engine's one load-bearing promise: worker count,
-// window size and sweep fan-out change WALL CLOCK only — every
-// observable output (traces, metrics, reports) is byte-identical to the
-// inline single-threaded run. Plus the supporting invariants: the shard
-// partition keeps conflicting sessions together, RNG streams split
-// cleanly from the root seed, and concurrent shard teardown conserves
-// the packet pools (NCFN_AUDIT=1 comes from ctest for this binary).
+// The tests pin the runner's one load-bearing promise: worker count and
+// sweep fan-out change WALL CLOCK only — every observable output
+// (traces, metrics, reports) is byte-identical to the inline
+// single-threaded run, fault scenarios included. Plus the supporting
+// invariants: the shard partition keeps conflicting sessions together,
+// a fault scenario is one shard, RNG streams split cleanly from the root
+// seed, and concurrent shard teardown conserves the packet pools
+// (NCFN_AUDIT=1 comes from ctest for this binary).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "app/config.hpp"
 #include "app/shard.hpp"
 #include "app/sweep.hpp"
+#include "ctrl/controller.hpp"
 #include "ctrl/problem.hpp"
 #include "netsim/seedstream.hpp"
 #include "netsim/worker.hpp"
@@ -28,6 +33,20 @@ using namespace ncfn;
 app::Scenario load(const char* rel) {
   app::ParseError err;
   auto s = app::load_scenario(std::string(NCFN_SOURCE_DIR) + rel, &err);
+  EXPECT_TRUE(s.has_value()) << err.line << ": " << err.message;
+  return *s;
+}
+
+std::string read_text(const char* rel) {
+  std::ifstream in(std::string(NCFN_SOURCE_DIR) + rel);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+app::Scenario parse(const std::string& text) {
+  app::ParseError err;
+  auto s = app::parse_scenario(text, &err);
   EXPECT_TRUE(s.has_value()) << err.line << ": " << err.message;
   return *s;
 }
@@ -155,59 +174,137 @@ struct RunOutput {
   std::string metrics;
   std::vector<app::ReceiverReport> reports;
   std::uint64_t events = 0;
+  std::size_t shards = 0;
 };
 
-RunOutput run_sharded(const app::Scenario& scenario,
-                      const ctrl::DeploymentPlan& plan, std::size_t workers,
-                      double window_s) {
-  app::ShardedRunOptions opts;
+RunOutput run_scenario(const app::Scenario& scenario,
+                       const ctrl::DeploymentPlan& plan, std::size_t workers,
+                       double duration_s = 0.6) {
+  app::RunOptions opts;
   opts.workers = workers;
-  opts.window_s = window_s;
-  opts.duration_s = 0.6;
+  opts.duration_s = duration_s;
   opts.trace = true;
-  app::ShardedScenarioRun run(scenario, plan, opts);
+  app::ScenarioRun run(scenario, plan, opts);
   run.run();
   return RunOutput{run.trace_jsonl(), run.metrics_json(), run.reports(),
-                   run.events_executed()};
+                   run.events_executed(), run.shard_plan().shard_count()};
+}
+
+void expect_same_reports(const RunOutput& out, const RunOutput& ref) {
+  ASSERT_EQ(out.reports.size(), ref.reports.size());
+  for (std::size_t i = 0; i < ref.reports.size(); ++i) {
+    EXPECT_EQ(out.reports[i].session, ref.reports[i].session);
+    EXPECT_EQ(out.reports[i].receiver, ref.reports[i].receiver);
+    EXPECT_EQ(out.reports[i].goodput_mbps, ref.reports[i].goodput_mbps);
+    EXPECT_EQ(out.reports[i].repair_requests, ref.reports[i].repair_requests);
+    EXPECT_EQ(out.reports[i].verify_failures, ref.reports[i].verify_failures);
+  }
 }
 
 TEST(ShardedRun, WorkerCountChangesNothingObservable) {
   const auto scenario = load("/tools/scenarios/butterfly_shards.ncfn");
   const auto plan = solve(scenario);
-  const RunOutput ref = run_sharded(scenario, plan, 1, 0.050);
+  const RunOutput ref = run_scenario(scenario, plan, 1);
   ASSERT_GT(ref.events, 0u);
   ASSERT_FALSE(ref.trace.empty());
   ASSERT_EQ(ref.reports.size(), 8u);  // 4 sessions x 2 receivers
   for (const std::size_t workers : {2u, 4u, 8u}) {
-    const RunOutput out = run_sharded(scenario, plan, workers, 0.050);
+    const RunOutput out = run_scenario(scenario, plan, workers);
     EXPECT_EQ(out.trace, ref.trace) << workers << " workers";
     EXPECT_EQ(out.metrics, ref.metrics) << workers << " workers";
     EXPECT_EQ(out.events, ref.events) << workers << " workers";
-    ASSERT_EQ(out.reports.size(), ref.reports.size());
-    for (std::size_t i = 0; i < ref.reports.size(); ++i) {
-      EXPECT_EQ(out.reports[i].receiver, ref.reports[i].receiver);
-      EXPECT_EQ(out.reports[i].goodput_mbps, ref.reports[i].goodput_mbps);
-    }
+    expect_same_reports(out, ref);
   }
-}
-
-TEST(ShardedRun, WindowSizeChangesNothingObservable) {
-  const auto scenario = load("/tools/scenarios/butterfly_shards.ncfn");
-  const auto plan = solve(scenario);
-  const RunOutput fine = run_sharded(scenario, plan, 2, 0.010);
-  const RunOutput coarse = run_sharded(scenario, plan, 2, 0.500);
-  const RunOutput single = run_sharded(scenario, plan, 2, 0.0);  // one window
-  EXPECT_EQ(fine.trace, coarse.trace);
-  EXPECT_EQ(fine.metrics, coarse.metrics);
-  EXPECT_EQ(fine.trace, single.trace);
-  EXPECT_EQ(fine.metrics, single.metrics);
 }
 
 TEST(ShardedRun, TracksShardCountInMetrics) {
   const auto scenario = load("/tools/scenarios/butterfly_shards.ncfn");
   const auto plan = solve(scenario);
-  const RunOutput out = run_sharded(scenario, plan, 4, 0.050);
+  const RunOutput out = run_scenario(scenario, plan, 4);
   EXPECT_NE(out.metrics.find("\"mt.shards\":4"), std::string::npos);
+}
+
+// ---- Fault scenarios: one shard around a live controller ----
+
+/// Samples in histogram `name` of a metrics JSON snapshot (0 if absent).
+std::uint64_t histogram_count(const std::string& metrics, const char* name) {
+  const std::string key = std::string("\"") + name + "\":{\"count\":";
+  const std::size_t p = metrics.find(key);
+  if (p == std::string::npos) return 0;
+  return std::strtoull(metrics.c_str() + p + key.size(), nullptr, 10);
+}
+
+TEST(FaultRun, DiamondFaultIsOneShardAndWorkerCountChangesNothing) {
+  const auto scenario = load("/tools/scenarios/diamond_fault.ncfn");
+  const auto plan = solve(scenario);
+  const RunOutput ref = run_scenario(scenario, plan, 1, 3.0);
+  const RunOutput two = run_scenario(scenario, plan, 2, 3.0);
+  EXPECT_EQ(ref.shards, 1u);
+  EXPECT_EQ(two.shards, 1u);
+  EXPECT_EQ(two.trace, ref.trace);
+  EXPECT_EQ(two.metrics, ref.metrics);
+  EXPECT_EQ(two.events, ref.events);
+  expect_same_reports(two, ref);
+  // The outages fired and the controller answered them.
+  for (const char* ev :
+       {"link_down", "link_up", "resolve", "vnf_crash", "vnf_restart"}) {
+    EXPECT_NE(ref.trace.find(std::string("\"ev\":\"") + ev + "\""),
+              std::string::npos)
+        << ev;
+  }
+  // One recovery sample per rewire at least: onto path B when A->R
+  // fails, and back onto both paths when it returns.
+  EXPECT_GE(histogram_count(ref.metrics, "app.recovery_time_s"), 2u);
+  ASSERT_EQ(ref.reports.size(), 1u);
+  for (const app::ReceiverReport& r : ref.reports) {
+    EXPECT_EQ(r.verify_failures, 0u) << r.receiver;
+    EXPECT_GT(r.goodput_mbps, 0.0) << r.receiver;
+  }
+}
+
+TEST(FaultRun, AFailLineJoinsDisjointSessionsIntoOneShard) {
+  // Copies A and B of butterfly_shards.ncfn share no node.
+  const std::string text = read_text("/tools/scenarios/butterfly_shards.ncfn");
+  const std::string two = text.substr(0, text.find("# ---- copy C"));
+  const auto scenario = parse(two + "fail A.T A.V2 at=0.2 for=0.2\n");
+  const auto plan = solve(scenario);
+  ASSERT_EQ(scenario.sessions.size(), 2u);
+  const auto parts =
+      app::partition_sessions(scenario.topo, plan, scenario.sessions);
+  EXPECT_EQ(parts.shard_count(), 2u);  // the partition alone
+  const RunOutput out = run_scenario(scenario, plan, 2);
+  EXPECT_EQ(out.shards, 1u);
+  EXPECT_NE(out.metrics.find("\"mt.shards\":1"), std::string::npos);
+  ASSERT_EQ(out.reports.size(), 4u);
+  for (const app::ReceiverReport& r : out.reports) {
+    EXPECT_EQ(r.verify_failures, 0u) << r.receiver;
+  }
+}
+
+TEST(FaultRun, SessionTheControllerRejectedKeepsItsWiring) {
+  // The joint plan carries both sessions, but the live controller,
+  // admitting them one at a time, rejects session 2. The fault handlers
+  // find sessions in the controller's plan by id, so session 2 keeps its
+  // initial wiring while session 1 is rewired around the outage.
+  const auto scenario =
+      parse(read_text("/tools/scenarios/two_sessions.ncfn") +
+            "fail T V2 at=0.5 for=0.5\n");
+  const auto plan = solve(scenario);
+  ASSERT_EQ(plan.session_ids.size(), 2u);
+  ctrl::Controller::Config ccfg;
+  ccfg.alpha = scenario.alpha;
+  ctrl::Controller ctl(scenario.topo, ccfg);
+  EXPECT_TRUE(ctl.add_session(scenario.sessions[0], 0.0));
+  EXPECT_FALSE(ctl.add_session(scenario.sessions[1], 0.0));
+
+  const RunOutput out = run_scenario(scenario, plan, 1, 2.0);
+  EXPECT_EQ(out.shards, 1u);
+  EXPECT_NE(out.trace.find("\"ev\":\"resolve\""), std::string::npos);
+  ASSERT_EQ(out.reports.size(), 3u);  // session 1: O2, C2; session 2: C2
+  for (const app::ReceiverReport& r : out.reports) {
+    EXPECT_EQ(r.verify_failures, 0u) << r.session << " " << r.receiver;
+    EXPECT_GT(r.goodput_mbps, 0.0) << r.session << " " << r.receiver;
+  }
 }
 
 // ---- Concurrent build/run/teardown under the pool audit ----
@@ -221,11 +318,11 @@ TEST(ShardedRun, ConcurrentTeardownConservesPools) {
   const auto plan = solve(scenario);
   netsim::WorkerPool pool(4);
   pool.run(4, [&](std::size_t lane) {
-    app::ShardedRunOptions opts;
+    app::RunOptions opts;
     opts.workers = 1;
     opts.duration_s = 0.3;
     opts.seed = static_cast<std::uint32_t>(7 + lane);
-    app::ShardedScenarioRun run(scenario, plan, opts);
+    app::ScenarioRun run(scenario, plan, opts);
     run.run();
     // run destructs here, on this lane, while siblings still simulate.
   });
@@ -261,7 +358,7 @@ TEST(Config, WorkersKeywordParses) {
   const auto s = app::parse_scenario("workers 4\n", &err);
   ASSERT_TRUE(s.has_value()) << err.message;
   EXPECT_EQ(s->workers, 4u);
-  EXPECT_EQ(app::parse_scenario("")->workers, 0u);  // default: legacy engine
+  EXPECT_EQ(app::parse_scenario("")->workers, 1u);  // default: one worker
 }
 
 TEST(Config, WorkersKeywordRejectsGarbage) {

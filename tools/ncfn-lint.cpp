@@ -45,7 +45,7 @@
 //                        (src/netsim/worker.*), the annotated wrappers
 //                        (src/common/sync.hpp) and the sweep driver
 //                        (tools/ncfn-sweep.cpp) — ad-hoc concurrency
-//                        cannot honour the barrier-window determinism
+//                        cannot honour the worker-pool determinism
 //                        contract; shard work through netsim::WorkerPool
 //   mutex-unannotated    every mutex member must guard something: a
 //                        file declaring a mutex must annotate at least
@@ -141,7 +141,7 @@ constexpr Rule kRules[] = {
      "sweep amortizes over a PacketBatch"},
     {"raw-thread", Scope::kEverywhere,
      "raw threading primitive outside the worker pool; shard work through "
-     "netsim::WorkerPool (src/netsim/worker.hpp) so the barrier-window "
+     "netsim::WorkerPool (src/netsim/worker.hpp) so the worker-pool "
      "determinism contract holds"},
     {"mutex-unannotated", Scope::kEverywhere,
      "mutex member with no NCFN_GUARDED_BY field naming it; annotate what "

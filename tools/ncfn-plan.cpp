@@ -5,7 +5,9 @@
 //
 // Prints per-session rates, VNF placement, and the per-edge flow routing
 // (the forwarding tables the controller would push). See
-// tools/scenarios/ for examples of the file format.
+// tools/scenarios/ for examples of the file format. An unknown option, a
+// stray argument or an option without its value prints the usage line
+// and exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -20,22 +22,33 @@
 
 using namespace ncfn;
 
+namespace {
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <scenario-file> [--quantize <blocks>]\n", argv0);
+  return 2;
+}
+}  // namespace
+
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <scenario-file> [--quantize <blocks>]\n", argv[0]);
-    return 2;
-  }
+  if (argc < 2) return usage(argv[0]);
   int quantize_blocks = 0;
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--quantize") == 0) {
-      const auto v = coding::parse_num<int>(argv[i + 1]);
-      if (!v) {
-        std::fprintf(stderr, "bad value for --quantize: '%s'\n", argv[i + 1]);
-        return 2;
-      }
-      quantize_blocks = *v;
+  for (int i = 2; i < argc; i += 2) {
+    const char* flag = argv[i];
+    if (std::strcmp(flag, "--quantize") != 0) {
+      std::fprintf(stderr, "unknown option '%s'\n", flag);
+      return usage(argv[0]);
     }
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "missing value for %s\n", flag);
+      return usage(argv[0]);
+    }
+    const auto v = coding::parse_num<int>(argv[i + 1]);
+    if (!v) {
+      std::fprintf(stderr, "bad value for --quantize: '%s'\n", argv[i + 1]);
+      return 2;
+    }
+    quantize_blocks = *v;
   }
 
   app::ParseError err;

@@ -6,11 +6,15 @@
 //              [--jobs <n>] [--out <file>]
 //
 // Every (seed, loss, batch) combination runs as one independent
-// single-engine simulation; --jobs only picks the fan-out and never
-// appears in the output, so the same matrix produces byte-identical
-// JSON for any job count (CI exploits this the same way it checks
-// ncfn-run --workers).
+// single-worker app::ScenarioRun (fail/crash scenarios included);
+// --jobs only picks the fan-out and never appears in the output, so the
+// same matrix produces byte-identical JSON for any job count (CI
+// exploits this the same way it checks ncfn-run --workers).
+//
+// An unknown option, a stray argument or an option without its value
+// prints the usage line and exits 2.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -50,53 +54,64 @@ std::vector<T> arg_list(const char* flag, const char* value) {
   return out;
 }
 
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <scenario-file> [--seeds <a,b,...>] "
+               "[--loss <a,b,...>] [--batch <a,b,...>] [--duration <s>] "
+               "[--redundancy <n>] [--jobs <n>] [--out <file>]\n",
+               argv0);
+  return 2;
+}
+
+bool write_file(const std::string& path, const std::string& data) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <scenario-file> [--seeds <a,b,...>] "
-                 "[--loss <a,b,...>] [--batch <a,b,...>] [--duration <s>] "
-                 "[--redundancy <n>] [--jobs <n>] [--out <file>]\n",
-                 argv[0]);
-    return 2;
-  }
+  if (argc < 2) return usage(argv[0]);
   app::SweepMatrix matrix;
   std::size_t jobs = 1;
   std::string out_path;
-  for (int i = 2; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--seeds") == 0) {
-      matrix.seeds = arg_list<std::uint32_t>("--seeds", argv[i + 1]);
+  for (int i = 2; i < argc; i += 2) {
+    const char* flag = argv[i];
+    const char* value = argv[i + 1];  // argv[argc] is a null pointer
+    // Whether `flag` is `name`; a known flag without its value is a usage
+    // error.
+    const auto option = [&](const char* name) {
+      if (std::strcmp(flag, name) != 0) return false;
+      if (value != nullptr) return true;
+      std::fprintf(stderr, "missing value for %s\n", name);
+      std::exit(usage(argv[0]));
+    };
+    if (option("--seeds")) {
+      matrix.seeds = arg_list<std::uint32_t>(flag, value);
+    } else if (option("--loss")) {
+      matrix.losses = arg_list<double>(flag, value);
+    } else if (option("--batch")) {
+      matrix.batches = arg_list<std::size_t>(flag, value);
+    } else if (option("--duration")) {
+      matrix.duration_s = arg_num<double>(flag, value);
+    } else if (option("--redundancy")) {
+      matrix.redundancy = arg_num<int>(flag, value);
+    } else if (option("--jobs")) {
+      jobs = arg_num<std::size_t>(flag, value);
+    } else if (option("--out")) {
+      out_path = value;
+    } else {
+      std::fprintf(stderr, "unknown option '%s'\n", flag);
+      return usage(argv[0]);
     }
-    if (std::strcmp(argv[i], "--loss") == 0) {
-      matrix.losses = arg_list<double>("--loss", argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--batch") == 0) {
-      matrix.batches = arg_list<std::size_t>("--batch", argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--duration") == 0) {
-      matrix.duration_s = arg_num<double>("--duration", argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--redundancy") == 0) {
-      matrix.redundancy = arg_num<int>("--redundancy", argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = arg_num<std::size_t>("--jobs", argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
   }
 
   app::ParseError err;
   const auto scenario = app::load_scenario(argv[1], &err);
   if (!scenario) {
     std::fprintf(stderr, "%s:%d: %s\n", argv[1], err.line, err.message.c_str());
-    return 1;
-  }
-  if (!scenario->failures.empty() || !scenario->crashes.empty()) {
-    std::fprintf(stderr,
-                 "scenario has fail/crash lines; sweeps run the sharded "
-                 "engine, which does not support live failure injection — "
-                 "use ncfn-run\n");
     return 1;
   }
   ctrl::DeploymentProblem prob;
@@ -115,13 +130,9 @@ int main(int argc, char** argv) {
     std::fputs(json.c_str(), stdout);
     return 0;
   }
-  std::FILE* f = std::fopen(out_path.c_str(), "wb");
-  if (f == nullptr ||
-      std::fwrite(json.data(), 1, json.size(), f) != json.size()) {
+  if (!write_file(out_path, json)) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
-    if (f != nullptr) std::fclose(f);
     return 1;
   }
-  std::fclose(f);
   return 0;
 }
