@@ -70,7 +70,6 @@ void BM_VnfRecodeLanePps(benchmark::State& state) {
   relay.set_next_hops(1, {{{n_sink, 7001}, 1.0}});
 
   std::uint64_t sink_rx = 0;
-  net.bind(n_sink, 7001, [&](const netsim::Datagram&) { ++sink_rx; });
   net.bind_burst(n_sink, 7001,
                  [&](std::span<netsim::Datagram> b) { sink_rx += b.size(); });
 

@@ -1,5 +1,6 @@
 #include "coding/decoder.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +10,59 @@
 #include "gf/gf256.hpp"
 
 namespace ncfn::coding {
+
+namespace {
+
+/// A decoder's present pivot rows and their columns, in column order;
+/// only the first n entries are set.
+struct PivotRows {
+  const std::uint8_t* rows[256];
+  std::uint16_t cols[256];
+  std::size_t n = 0;
+};
+
+PivotRows pivot_rows(const std::vector<std::optional<CodedPacket>>& pivots) {
+  PivotRows piv;
+  for (std::size_t c = 0; c < pivots.size(); ++c) {
+    if (!pivots[c].has_value()) continue;
+    piv.rows[piv.n] = pivots[c]->row().data();
+    piv.cols[piv.n] = static_cast<std::uint16_t>(c);
+    ++piv.n;
+  }
+  return piv;
+}
+
+/// The one recoding routine behind recode() and each row of
+/// recode_batch(): redraw the per-column weights `w` while every weight
+/// on a present pivot is zero, then accumulate the weighted pivot rows
+/// into `out` (zero-filled) four at a time through the fused kernel.
+void recode_row(std::mt19937& rng, const PivotRows& piv,
+                std::span<std::uint8_t> w, CodedPacket& out) {
+  while (std::none_of(piv.cols, piv.cols + piv.n,
+                      [w](std::uint16_t c) { return w[c] != 0; })) {
+    detail::fill_random_bytes(w, rng);
+  }
+  const std::uint8_t* src[4];
+  std::uint8_t c4[4];
+  int m = 0;
+  for (std::size_t i = 0; i < piv.n; ++i) {
+    const std::uint8_t c = w[piv.cols[i]];
+    if (c == 0) continue;
+    src[m] = piv.rows[i];
+    c4[m] = c;
+    if (++m == 4) {
+      gf::bulk_muladd_x4(out.row(), src, c4);
+      m = 0;
+    }
+  }
+  for (int t = 0; t < m; ++t) {
+    gf::bulk_muladd(out.row(),
+                    std::span<const std::uint8_t>(src[t], out.row().size()),
+                    c4[t]);
+  }
+}
+
+}  // namespace
 
 CodingObs CodingObs::bind(obs::Observability& obs, std::uint32_t node) {
   CodingObs o;
@@ -110,43 +164,15 @@ CodedPacket Decoder::recode(std::mt19937& rng) const {
   assert(rank_ >= 1);
   require_rows("recode");
   if (obs_ != nullptr) obs_->recode_ops->inc();
+  std::uint8_t weights[256];
+  assert(g_ <= sizeof(weights));
+  const std::span<std::uint8_t> w(weights, g_);
+  detail::fill_random_bytes(w, rng);
   CodedPacket out;
   out.session = session_;
   out.generation = generation_;
   out.acquire(g_, block_size_, pool_);
-  // Draw one random weight per stored pivot; accumulate the weighted rows
-  // four at a time with the fused kernel. Redraw if every weight for a
-  // present pivot came out zero.
-  std::uint8_t weights[256];
-  assert(g_ <= sizeof(weights));
-  for (;;) {
-    detail::fill_random_bytes(std::span<std::uint8_t>(weights, g_), rng);
-    bool any = false;
-    for (std::size_t c = 0; c < g_; ++c) {
-      if (pivots_[c].has_value() && weights[c] != 0) {
-        any = true;
-        break;
-      }
-    }
-    if (any) break;
-  }
-  const std::uint8_t* src[4];
-  std::uint8_t c4[4];
-  int k = 0;
-  for (std::size_t c = 0; c < g_; ++c) {
-    if (!pivots_[c].has_value() || weights[c] == 0) continue;
-    src[k] = pivots_[c]->row().data();
-    c4[k] = weights[c];
-    if (++k == 4) {
-      gf::bulk_muladd_x4(out.row(), src, c4);
-      k = 0;
-    }
-  }
-  for (int j = 0; j < k; ++j) {
-    gf::bulk_muladd(out.row(),
-                    std::span<const std::uint8_t>(src[j], out.row().size()),
-                    c4[j]);
-  }
+  recode_row(rng, pivot_rows(pivots_), w, out);
   return out;
 }
 
@@ -158,18 +184,7 @@ void Decoder::recode_batch(std::mt19937& rng, std::size_t k,
   require_rows("recode_batch");
   if (k == 0) return;
   if (obs_ != nullptr) obs_->recode_ops->inc(k);
-
-  // Scan the pivot set once per batch instead of once per output packet.
-  const std::uint8_t* rows[256];
-  std::uint16_t cols[256];
-  std::size_t npiv = 0;
-  for (std::size_t c = 0; c < g_; ++c) {
-    if (pivots_[c].has_value()) {
-      rows[npiv] = pivots_[c]->row().data();
-      cols[npiv] = static_cast<std::uint16_t>(c);
-      ++npiv;
-    }
-  }
+  const PivotRows piv = pivot_rows(pivots_);
 
   // One coefficient block for the whole batch. fill_random_bytes slices
   // each 32-bit Twister word into four bytes and discards the remainder
@@ -177,9 +192,9 @@ void Decoder::recode_batch(std::mt19937& rng, std::size_t k,
   // exact byte stream of k successive g-byte fills iff g % 4 == 0; for
   // other g we fill row slices sequentially to keep recode_batch
   // draw-for-draw identical to k recode() calls. (If a rejection redraw
-  // fires below — all present-pivot weights zero, probability 256^-rank —
-  // the single-fill ordering appends the redraw instead of interleaving
-  // it; k == 1 is always exactly equivalent.)
+  // fires in recode_row — all present-pivot weights zero, probability
+  // 256^-rank — the single-fill ordering appends the redraw instead of
+  // interleaving it; k == 1 is always exactly equivalent.)
   std::uint8_t weights[kBatchCapacity * 256];
   const std::span<std::uint8_t> block(weights, k * g_);
   if (g_ % 4 == 0) {
@@ -189,42 +204,11 @@ void Decoder::recode_batch(std::mt19937& rng, std::size_t k,
       detail::fill_random_bytes(block.subspan(j * g_, g_), rng);
     }
   }
-
   for (std::size_t j = 0; j < k; ++j) {
-    std::uint8_t* w = weights + j * g_;
-    // Redraw this row's slice if every weight on a present pivot came
-    // out zero (recode()'s rejection loop).
-    for (;;) {
-      bool any = false;
-      for (std::size_t i = 0; i < npiv; ++i) {
-        if (w[cols[i]] != 0) {
-          any = true;
-          break;
-        }
-      }
-      if (any) break;
-      detail::fill_random_bytes(std::span<std::uint8_t>(w, g_), rng);
-    }
     CodedPacket& pkt = out.emplace(g_, block_size_, pool_);
     pkt.session = session_;
     pkt.generation = generation_;
-    const std::uint8_t* src[4];
-    std::uint8_t c4[4];
-    int m = 0;
-    for (std::size_t i = 0; i < npiv; ++i) {
-      if (w[cols[i]] == 0) continue;
-      src[m] = rows[i];
-      c4[m] = w[cols[i]];
-      if (++m == 4) {
-        gf::bulk_muladd_x4(pkt.row(), src, c4);
-        m = 0;
-      }
-    }
-    for (int t = 0; t < m; ++t) {
-      gf::bulk_muladd(pkt.row(),
-                      std::span<const std::uint8_t>(src[t], pkt.row().size()),
-                      c4[t]);
-    }
+    recode_row(rng, piv, block.subspan(j * g_, g_), pkt);
   }
 }
 

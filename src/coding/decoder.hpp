@@ -76,7 +76,8 @@ class Decoder {
   [[nodiscard]] std::size_t packets_innovative() const { return rank_; }
 
   /// Produce a fresh random linear combination of everything received so
-  /// far (relay recoding). Precondition: rank() >= 1 and not released().
+  /// far (relay recoding): one row through the same routine as each row
+  /// of recode_batch(). Precondition: rank() >= 1 and not released().
   [[nodiscard]] CodedPacket recode(std::mt19937& rng) const;
 
   /// Batched recoding: append `k` fresh random combinations to `out`

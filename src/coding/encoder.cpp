@@ -10,17 +10,12 @@
 namespace ncfn::coding {
 
 CodedPacket Encoder::encode_random() {
-  const std::size_t g = generation_->block_count();
   CodedPacket pkt;
   pkt.session = session_;
   pkt.generation = generation_->id();
-  pkt.acquire(g, generation_->block_size(), pool_);
-  const auto cs = pkt.coeffs();
-  do {
-    detail::fill_random_bytes(cs, *rng_);
-  } while (std::all_of(cs.begin(), cs.end(),
-                       [](std::uint8_t c) { return c == 0; }));
-  encode_payload(pkt);
+  pkt.acquire(generation_->block_count(), generation_->block_size(), pool_);
+  detail::fill_random_bytes(pkt.coeffs(), *rng_);
+  encode_drawn(pkt);
   return pkt;
 }
 
@@ -30,8 +25,7 @@ void Encoder::encode_random_batch(std::size_t k, PacketBatch& out) {
   assert(g <= 256);
   if (k == 0) return;
   // One coefficient block for the whole batch (see Decoder::recode_batch
-  // for the g % 4 draw-order note); an all-zero row redraws just its own
-  // slice, mirroring encode_random()'s rejection loop.
+  // for the g % 4 draw-order note).
   std::uint8_t coeffs[kBatchCapacity * 256];
   const std::span<std::uint8_t> block(coeffs, k * g);
   if (g % 4 == 0) {
@@ -42,17 +36,21 @@ void Encoder::encode_random_batch(std::size_t k, PacketBatch& out) {
     }
   }
   for (std::size_t j = 0; j < k; ++j) {
-    const auto cs = block.subspan(j * g, g);
-    while (std::all_of(cs.begin(), cs.end(),
-                       [](std::uint8_t c) { return c == 0; })) {
-      detail::fill_random_bytes(cs, *rng_);
-    }
     CodedPacket& pkt = out.emplace(g, generation_->block_size(), pool_);
     pkt.session = session_;
     pkt.generation = generation_->id();
-    copy_bytes(pkt.coeffs(), cs);
-    encode_payload(pkt);
+    copy_bytes(pkt.coeffs(), block.subspan(j * g, g));
+    encode_drawn(pkt);
   }
+}
+
+void Encoder::encode_drawn(CodedPacket& pkt) {
+  const auto cs = pkt.coeffs();
+  while (std::all_of(cs.begin(), cs.end(),
+                     [](std::uint8_t c) { return c == 0; })) {
+    detail::fill_random_bytes(cs, *rng_);
+  }
+  encode_payload(pkt);
 }
 
 CodedPacket Encoder::encode_systematic(std::size_t i) {

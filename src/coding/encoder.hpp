@@ -49,6 +49,10 @@ class Encoder {
       std::span<const std::uint8_t> coeffs) const;
 
  private:
+  /// The one random-coding routine behind encode_random() and each row of
+  /// encode_random_batch(): redraw pkt's freshly drawn coefficients while
+  /// they are all zero, then encode the payload.
+  void encode_drawn(CodedPacket& pkt);
   /// Accumulate sum_i coeffs[i] * block(i) into pkt's (zeroed) payload,
   /// four source rows per fused kernel pass.
   void encode_payload(CodedPacket& pkt) const;

@@ -44,94 +44,14 @@ void Link::set_up(bool up) {
   if (trace_ != nullptr) trace_->link_state(from_, to_, up);
 }
 
-void Link::transmit(Datagram d) {
-  ++stats_.offered;
+void Link::transmit(std::span<Datagram> burst) {
   Simulator& sim = net_.sim();
 
-  if (!up_) {
-    ++stats_.dropped_down;
-    if (m_drop_down_ != nullptr) m_drop_down_->inc();
-    if (trace_ != nullptr) {
-      trace_->packet_drop(from_, to_, d.wire_bytes(), "down");
-    }
-    net_.recycle_buffer(std::move(d.payload));
-    return;
-  }
-  if (loss_ && loss_->drop(net_.rng())) {
-    ++stats_.dropped_loss;
-    if (m_drop_loss_ != nullptr) m_drop_loss_->inc();
-    if (trace_ != nullptr) {
-      trace_->packet_drop(from_, to_, d.wire_bytes(), "loss");
-    }
-    net_.recycle_buffer(std::move(d.payload));
-    return;
-  }
-  if (queued_ >= queue_limit_) {
-    ++stats_.dropped_queue;
-    if (m_drop_queue_ != nullptr) m_drop_queue_->inc();
-    if (trace_ != nullptr) {
-      trace_->packet_drop(from_, to_, d.wire_bytes(), "queue");
-    }
-    net_.recycle_buffer(std::move(d.payload));
-    return;
-  }
-
-  const double bits = static_cast<double>(d.wire_bytes()) * 8.0;
-  const Time start = std::max(sim.now(), busy_until_);
-  const Time tx = bits / capacity_bps_;
-  busy_until_ = start + tx;
-  ++queued_;
-  if (m_enqueued_ != nullptr) {
-    m_enqueued_->inc();
-    m_queue_depth_->set(static_cast<double>(queued_));
-    m_busy_s_->add(tx);
-  }
-  if (trace_ != nullptr) {
-    trace_->packet_enqueue(from_, to_, d.wire_bytes(), queued_);
-  }
-
-  // The egress queue empties when the serializer finishes the packet, not
-  // when the packet lands `prop_delay_` later: a long-delay path must not
-  // eat queue budget with packets that are already in propagation.
-  // Scheduled before the delivery event so that at equal timestamps
-  // (zero-delay links) the queue shrinks before delivery is observed.
-  sim.schedule_at(busy_until_, [self = weak_from_this()] {
-    if (auto link = self.lock()) link->serializer_departure();
-  });
-
-  Time deliver_at = busy_until_ + prop_delay_;
-  if (jitter_ > 0) {
-    deliver_at += std::uniform_real_distribution<Time>(0, jitter_)(net_.rng());
-  }
-  ++stats_.in_flight;
-  // Weak handle: if the link is replaced/removed while the packet is in
-  // flight, the packet evaporates instead of touching a dead Link. The
-  // Network itself outlives every event (it owns the Simulator).
-  sim.schedule_at(deliver_at, [self = weak_from_this(), net = &net_,
-                               epoch = down_epoch_,
-                               pkt = std::move(d)]() mutable {
-    if (auto link = self.lock()) {
-      link->complete_delivery(std::move(pkt), epoch);
-    } else {
-      net->recycle_buffer(std::move(pkt.payload));
-    }
-  });
-}
-
-void Link::transmit_burst(std::span<Datagram> burst) {
-  if (burst.empty()) return;
-  if (burst.size() == 1) {
-    transmit(std::move(burst.front()));
-    return;
-  }
-  Simulator& sim = net_.sim();
-
-  // Per-packet admission, exactly as transmit(): loss model draws happen
-  // in arrival order, every drop keeps its own trace line. Survivors move
-  // into the burst vector that rides the shared delivery event.
+  // Per-packet admission: loss model draws happen in arrival order, every
+  // drop keeps its own trace line. Survivors move into the burst vector
+  // that rides the shared delivery event.
   std::vector<Datagram> committed;
   committed.reserve(burst.size());
-  std::uint64_t enqueued = 0;
   double burst_tx = 0.0;
   for (Datagram& d : burst) {
     ++stats_.offered;
@@ -162,12 +82,10 @@ void Link::transmit_burst(std::span<Datagram> burst) {
       net_.recycle_buffer(std::move(d.payload));
       continue;
     }
-    const double bits = static_cast<double>(d.wire_bytes()) * 8.0;
-    const Time start = std::max(sim.now(), busy_until_);
-    busy_until_ = start + bits / capacity_bps_;
-    burst_tx += bits / capacity_bps_;
+    const Time tx = static_cast<double>(d.wire_bytes()) * 8.0 / capacity_bps_;
+    busy_until_ = std::max(sim.now(), busy_until_) + tx;
+    burst_tx += tx;
     ++queued_;
-    ++enqueued;
     if (trace_ != nullptr) {
       trace_->packet_enqueue(from_, to_, d.wire_bytes(), queued_);
     }
@@ -176,16 +94,19 @@ void Link::transmit_burst(std::span<Datagram> burst) {
   if (committed.empty()) return;
   const std::size_t n = committed.size();
   if (m_enqueued_ != nullptr) {
-    m_enqueued_->inc(enqueued);
+    m_enqueued_->inc(n);
     m_queue_depth_->set(static_cast<double>(queued_));
     m_busy_s_->add(burst_tx);
   }
 
-  // One departure for the burst's tail packet (scheduled first, so a
-  // zero-delay delivery at the same timestamp observes the drained
-  // queue, matching transmit()'s ordering)...
+  // One departure for the burst's tail packet. The egress queue empties
+  // when the serializer finishes, not when the burst lands `prop_delay_`
+  // later: a long-delay path must not eat queue budget with packets that
+  // are already in propagation. Scheduled before the delivery event so
+  // that at equal timestamps (zero-delay links) the queue shrinks before
+  // delivery is observed...
   sim.schedule_at(busy_until_, [self = weak_from_this(), n] {
-    if (auto link = self.lock()) link->burst_departure(n);
+    if (auto link = self.lock()) link->departure(n);
   });
 
   // ...and one delivery with a single jitter draw for the whole burst.
@@ -194,25 +115,21 @@ void Link::transmit_burst(std::span<Datagram> burst) {
     deliver_at += std::uniform_real_distribution<Time>(0, jitter_)(net_.rng());
   }
   stats_.in_flight += n;
+  // Weak handle: if the link is replaced/removed while the burst is in
+  // flight, it evaporates instead of touching a dead Link. The Network
+  // itself outlives every event (it owns the Simulator).
   sim.schedule_at(deliver_at, [self = weak_from_this(), net = &net_,
                                epoch = down_epoch_,
                                pkts = std::move(committed)]() mutable {
     if (auto link = self.lock()) {
-      link->complete_burst_delivery(std::move(pkts), epoch);
+      link->complete_delivery(std::move(pkts), epoch);
     } else {
       for (Datagram& p : pkts) net->recycle_buffer(std::move(p.payload));
     }
   });
 }
 
-void Link::serializer_departure() {
-  --queued_;
-  if (m_queue_depth_ != nullptr) {
-    m_queue_depth_->set(static_cast<double>(queued_));
-  }
-}
-
-void Link::burst_departure(std::size_t n) {
+void Link::departure(std::size_t n) {
   assert(queued_ >= n);
   queued_ -= n;
   if (m_queue_depth_ != nullptr) {
@@ -220,35 +137,8 @@ void Link::burst_departure(std::size_t n) {
   }
 }
 
-void Link::complete_delivery(Datagram pkt, std::uint64_t epoch) {
-  --stats_.in_flight;
-  if (epoch != down_epoch_) {
-    // The link went down after this packet was committed to the wire.
-    ++stats_.dropped_down;
-    if (m_drop_down_ != nullptr) m_drop_down_->inc();
-    if (trace_ != nullptr) {
-      trace_->packet_drop(from_, to_, pkt.wire_bytes(), "down");
-    }
-    net_.recycle_buffer(std::move(pkt.payload));
-    return;
-  }
-  ++stats_.delivered;
-  stats_.bytes_delivered += pkt.wire_bytes();
-  if (m_delivered_ != nullptr) {
-    m_delivered_->inc();
-    m_bytes_->inc(pkt.wire_bytes());
-  }
-  if (trace_ != nullptr) {
-    trace_->packet_deliver(from_, to_, pkt.wire_bytes(), queued_);
-  }
-  net_.deliver(pkt);
-  // Handlers see the datagram by const reference (and copy what they
-  // keep), so the payload storage can go back to the pool.
-  net_.recycle_buffer(std::move(pkt.payload));
-}
-
-void Link::complete_burst_delivery(std::vector<Datagram> pkts,
-                                   std::uint64_t epoch) {
+void Link::complete_delivery(std::vector<Datagram> pkts,
+                             std::uint64_t epoch) {
   stats_.in_flight -= pkts.size();
   if (epoch != down_epoch_) {
     // The link went down while the burst was committed to the wire; every
@@ -276,7 +166,8 @@ void Link::complete_burst_delivery(std::vector<Datagram> pkts,
     m_delivered_->inc(pkts.size());
     m_bytes_->inc(bytes);
   }
-  net_.deliver_burst(pkts);
+  net_.deliver(pkts);
+  // Payloads a handler left in place go back to the pool.
   for (Datagram& p : pkts) net_.recycle_buffer(std::move(p.payload));
 }
 
@@ -326,19 +217,17 @@ const Link* Network::link(NodeId from, NodeId to) const {
 }
 
 void Network::bind(NodeId node, Port port, DatagramHandler handler) {
+  handlers_[{node, port}] = [h = std::move(handler)](std::span<Datagram> run) {
+    for (const Datagram& d : run) h(d);
+  };
+}
+
+void Network::bind_burst(NodeId node, Port port, BurstHandler handler) {
   handlers_[{node, port}] = std::move(handler);
 }
 
 void Network::unbind(NodeId node, Port port) {
   handlers_.erase({node, port});
-}
-
-void Network::bind_burst(NodeId node, Port port, BurstHandler handler) {
-  burst_handlers_[{node, port}] = std::move(handler);
-}
-
-void Network::unbind_burst(NodeId node, Port port) {
-  burst_handlers_.erase({node, port});
 }
 
 bool Network::send(Datagram d) {
@@ -347,14 +236,14 @@ bool Network::send(Datagram d) {
     recycle_buffer(std::move(d.payload));
     return false;
   }
-  l->transmit(std::move(d));
+  l->transmit(std::span<Datagram>(&d, 1));
   return true;
 }
 
 void Network::send_burst(std::vector<Datagram>&& burst) {
   // Consecutive same-(src, dst) runs share one link lookup and one
-  // transmit_burst; the common case (a lane flushing to one next hop) is
-  // a single run.
+  // transmit; the common case (a lane flushing to one next hop) is a
+  // single run.
   std::size_t i = 0;
   while (i < burst.size()) {
     std::size_t j = i + 1;
@@ -368,7 +257,7 @@ void Network::send_burst(std::vector<Datagram>&& burst) {
         recycle_buffer(std::move(burst[k].payload));
       }
     } else {
-      l->transmit_burst(std::span<Datagram>(burst).subspan(i, j - i));
+      l->transmit(std::span<Datagram>(burst).subspan(i, j - i));
     }
     i = j;
   }
@@ -405,26 +294,15 @@ void Network::recycle_buffer(std::vector<std::uint8_t>&& buf) {
   buffer_pool_.push_back(std::move(buf));
 }
 
-void Network::deliver(const Datagram& d) {
-  if (!node_up(d.dst)) return;  // machine down: datagram vanishes
-  auto it = handlers_.find({d.dst, d.dst_port});
-  if (it != handlers_.end()) it->second(d);
-  // No binding: silently dropped, like a closed UDP port.
-}
-
-void Network::deliver_burst(std::span<Datagram> burst) {
-  if (burst.empty()) return;
-  if (!node_up(burst.front().dst)) return;  // one link => one dst node
+void Network::deliver(std::span<Datagram> burst) {
+  if (!node_up(burst.front().dst)) return;  // machine down: burst vanishes
   std::size_t i = 0;
   while (i < burst.size()) {
     std::size_t j = i + 1;
     while (j < burst.size() && burst[j].dst_port == burst[i].dst_port) ++j;
-    if (auto it = burst_handlers_.find({burst[i].dst, burst[i].dst_port});
-        it != burst_handlers_.end()) {
-      it->second(burst.subspan(i, j - i));
-    } else {
-      for (std::size_t k = i; k < j; ++k) deliver(burst[k]);
-    }
+    auto it = handlers_.find({burst[i].dst, burst[i].dst_port});
+    if (it != handlers_.end()) it->second(burst.subspan(i, j - i));
+    // No binding: silently dropped, like a closed UDP port.
     i = j;
   }
 }

@@ -106,36 +106,29 @@ class Link : public std::enable_shared_from_this<Link> {
   void set_up(bool up);
   [[nodiscard]] bool is_up() const { return up_; }
 
-  /// Queue a datagram for transmission. Applies loss model and tail drop.
-  void transmit(Datagram d);
-
-  /// Queue a burst of datagrams back-to-back. Admission (loss model, tail
-  /// drop, down check) and traces stay per-packet, but the burst shares
-  /// ONE serializer-departure event (the egress queue shrinks by the whole
-  /// burst when its last packet leaves the serializer) and ONE delivery
-  /// event with a single jitter draw (all survivors land together, in
-  /// order, at the last packet's delivery time) — the deliberate timing
-  /// coarsening that buys an O(batch) reduction in simulator events. A
-  /// one-packet burst is event-for-event identical to transmit().
-  /// Consumes the spanned datagrams (moves their payloads).
-  void transmit_burst(std::span<Datagram> burst);
+  /// Queue a burst of datagrams back-to-back; a single datagram is a
+  /// burst of one. Admission (down check, loss model, tail drop) and
+  /// traces stay per-packet, but the burst shares ONE serializer-departure
+  /// event (the egress queue shrinks by the whole burst when its last
+  /// packet leaves the serializer) and ONE delivery event with a single
+  /// jitter draw (all survivors land together, in order, at the last
+  /// packet's delivery time) — the deliberate timing coarsening that buys
+  /// an O(batch) reduction in simulator events. Consumes the spanned
+  /// datagrams (moves their payloads).
+  void transmit(std::span<Datagram> burst);
 
   /// (Re)bind observability handles; nullptr detaches. Called by Network
   /// on creation and whenever the hub is attached.
   void bind_obs(obs::Observability* obs);
 
  private:
-  /// Serializer finished pushing one packet onto the wire: the egress
-  /// queue shrinks now, not when the packet lands after propagation.
-  void serializer_departure();
-  /// Burst variant: the serializer finished the burst's last packet.
-  void burst_departure(std::size_t n);
-  /// Propagation finished; deliver unless the link went down (epoch
-  /// mismatch) while the packet was in flight.
-  void complete_delivery(Datagram pkt, std::uint64_t epoch);
-  /// Burst variant: deliver (or drop, on epoch mismatch) every survivor.
-  void complete_burst_delivery(std::vector<Datagram> pkts,
-                               std::uint64_t epoch);
+  /// The serializer finished the burst's last packet: the egress queue
+  /// shrinks by the burst's `n` packets now, not when they land after
+  /// propagation.
+  void departure(std::size_t n);
+  /// Propagation finished: deliver every survivor, or drop them all if
+  /// the link went down (epoch mismatch) while they were in flight.
+  void complete_delivery(std::vector<Datagram> pkts, std::uint64_t epoch);
 
   Network& net_;
   NodeId from_, to_;
@@ -161,11 +154,12 @@ class Link : public std::enable_shared_from_this<Link> {
   obs::Gauge* m_busy_s_ = nullptr;  // cumulative serialization time
 };
 
-/// Handler invoked on datagram arrival at a bound (node, port).
+/// Handler bound with Network::bind: invoked once per arriving datagram.
 using DatagramHandler = std::function<void(const Datagram&)>;
 
-/// Handler invoked with a whole arriving burst at a bound (node, port).
-/// The span is mutable so batch-aware receivers can steal payloads; any
+/// Handler bound with Network::bind_burst: invoked with each arriving run
+/// of same-port datagrams (a single send arrives as a run of one). The
+/// span is mutable so batch-aware receivers can steal payloads; any
 /// payload left behind is recycled by the caller.
 using BurstHandler = std::function<void(std::span<Datagram>)>;
 
@@ -208,23 +202,22 @@ class Network {
     return node >= node_down_.size() || !node_down_[node];
   }
 
-  /// Bind a datagram handler at (node, port); replaces a previous binding.
+  /// Bind a handler at (node, port). Each port has one binding, so bind
+  /// and bind_burst replace each other. A datagram handler is called once
+  /// per datagram of an arriving burst, in order; a burst handler gets
+  /// each arriving same-port run in one call.
   void bind(NodeId node, Port port, DatagramHandler handler);
+  void bind_burst(NodeId node, Port port, BurstHandler handler);
+  /// Remove the binding at (node, port), of either kind.
   void unbind(NodeId node, Port port);
 
-  /// Bind a burst handler at (node, port). When present it receives whole
-  /// arriving bursts in one call; single deliveries and bursts at ports
-  /// without one fall back to the per-datagram handler.
-  void bind_burst(NodeId node, Port port, BurstHandler handler);
-  void unbind_burst(NodeId node, Port port);
-
-  /// Send a datagram over the direct link src→dst.
+  /// Send a datagram over the direct link src→dst, as a burst of one.
   /// Returns false (and drops) if no such link exists.
   bool send(Datagram d);
 
   /// Send a burst. Consecutive datagrams sharing (src, dst) ride the same
   /// link burst (one lookup, one departure + one delivery event — see
-  /// Link::transmit_burst); runs with no link are dropped and recycled.
+  /// Link::transmit); runs with no link are dropped and recycled.
   void send_burst(std::vector<Datagram>&& burst);
 
   /// Round-trip time of a small probe on the direct a→b and b→a links:
@@ -239,12 +232,10 @@ class Network {
   [[nodiscard]] std::optional<double> probe_bandwidth_bps(NodeId a, NodeId b,
                                                           double noise_frac);
 
-  // Internal: called by Link to hand a datagram to the destination node.
-  void deliver(const Datagram& d);
-  // Internal: hand a whole burst to the destination node. Consecutive
-  // same-port runs go to that port's burst handler in one call when one
-  // is bound, else datagram-at-a-time to the ordinary handler.
-  void deliver_burst(std::span<Datagram> burst);
+  // Internal: called by Link to hand a delivered burst (one destination
+  // node) to that node. Each consecutive same-port run goes to the port's
+  // handler in one call; a run at an unbound port is dropped.
+  void deliver(std::span<Datagram> burst);
 
   /// Packet-conservation audit: one "<from>-><to>: ..." line per link
   /// whose LinkStats fail conserved(). Empty when every link balances.
@@ -271,8 +262,7 @@ class Network {
   std::vector<std::string> node_names_;
   std::vector<bool> node_down_;  // lazily grown; default everything up
   std::map<std::pair<NodeId, NodeId>, std::shared_ptr<Link>> links_;
-  std::map<std::pair<NodeId, Port>, DatagramHandler> handlers_;
-  std::map<std::pair<NodeId, Port>, BurstHandler> burst_handlers_;
+  std::map<std::pair<NodeId, Port>, BurstHandler> handlers_;
   std::vector<std::vector<std::uint8_t>> buffer_pool_;
 };
 

@@ -8,7 +8,8 @@ namespace ncfn::netsim {
 EventId Simulator::schedule_at(Time t, std::function<void()> fn) {
   assert(t >= now_ && "cannot schedule into the past");
   const EventId id = next_id_++;
-  queue_.push(Event{t, id, std::move(fn)});
+  queue_.push_back(Event{t, id, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), later);
   return id;
 }
 
@@ -21,24 +22,16 @@ bool Simulator::is_cancelled(EventId id) {
 
 std::size_t Simulator::run_until(Time t_end) {
   std::size_t executed = 0;
-  while (!queue_.empty() && queue_.top().at <= t_end) {
-    Event ev = queue_.top();
-    queue_.pop();
-    if (is_cancelled(ev.id)) {
-      if (cancelled_live_ > 0) --cancelled_live_;
-      continue;
-    }
+  while (!queue_.empty() && queue_.front().at <= t_end) {
+    std::pop_heap(queue_.begin(), queue_.end(), later);
+    Event ev = std::move(queue_.back());
+    queue_.pop_back();
+    if (is_cancelled(ev.id)) continue;
     now_ = ev.at;
     ev.fn();
     ++executed;
   }
-  // Track how many cancelled ids still refer to queued events so empty()
-  // stays meaningful.
-  cancelled_live_ = cancelled_.size();
-  if (queue_.empty()) {
-    cancelled_.clear();
-    cancelled_live_ = 0;
-  }
+  if (queue_.empty()) cancelled_.clear();
   if (now_ < t_end && t_end != kForever) now_ = t_end;
   return executed;
 }

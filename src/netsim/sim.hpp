@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace ncfn::netsim {
@@ -42,8 +41,6 @@ class Simulator {
   /// Run until the queue drains entirely.
   std::size_t run() { return run_until(kForever); }
 
-  [[nodiscard]] bool empty() const { return queue_.size() == cancelled_live_; }
-
   static constexpr Time kForever = 1e18;
 
  private:
@@ -51,19 +48,24 @@ class Simulator {
     Time at;
     EventId id;
     std::function<void()> fn;
-    bool operator>(const Event& o) const {
-      if (at != o.at) return at > o.at;
-      return id > o.id;  // FIFO among simultaneous events
-    }
   };
+
+  /// Heap order: true if `a` runs after `b`. Ids are unique, so (at, id)
+  /// is a total order, and simultaneous events run FIFO.
+  static bool later(const Event& a, const Event& b) {
+    if (a.at != b.at) return a.at > b.at;
+    return a.id > b.id;
+  }
 
   bool is_cancelled(EventId id);
 
   Time now_ = 0;
   EventId next_id_ = 1;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  // Min-heap on (at, id) kept with std::push_heap/pop_heap rather than a
+  // std::priority_queue, whose const top() would force a copy of every
+  // callback (and of everything it captured) on the way out.
+  std::vector<Event> queue_;
   std::vector<EventId> cancelled_;
-  std::size_t cancelled_live_ = 0;  // cancelled events still sitting in queue_
 };
 
 }  // namespace ncfn::netsim

@@ -31,10 +31,7 @@ CodingVnf::CodingVnf(netsim::Network& net, netsim::NodeId node,
 }
 
 CodingVnf::~CodingVnf() {
-  for (const auto& [id, st] : sessions_) {
-    net_.unbind(node_, st.port);
-    net_.unbind_burst(node_, st.port);
-  }
+  for (const auto& [id, st] : sessions_) net_.unbind(node_, st.port);
 }
 
 void CodingVnf::set_lanes(std::size_t lanes) {
@@ -60,10 +57,7 @@ void CodingVnf::set_lanes(std::size_t lanes) {
 void CodingVnf::configure_session(coding::SessionId id, ctrl::VnfRole role,
                                   netsim::Port port) {
   auto& st = sessions_[id];
-  if (st.port != 0 && st.port != port) {
-    net_.unbind(node_, st.port);
-    net_.unbind_burst(node_, st.port);
-  }
+  if (st.port != 0 && st.port != port) net_.unbind(node_, st.port);
   // Generations this session delivered as a decoder gave their rows
   // back; in any other role a late arrival opens fresh state instead.
   if (st.role == ctrl::VnfRole::kDecode && role != ctrl::VnfRole::kDecode) {
@@ -71,7 +65,6 @@ void CodingVnf::configure_session(coding::SessionId id, ctrl::VnfRole role,
   }
   st.role = role;
   st.port = port;
-  net_.bind(node_, port, [this](const netsim::Datagram& d) { on_datagram(d); });
   net_.bind_burst(node_, port,
                   [this](std::span<netsim::Datagram> b) { on_burst(b); });
 }
@@ -80,7 +73,6 @@ void CodingVnf::drop_session(coding::SessionId id) {
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
   net_.unbind(node_, it->second.port);
-  net_.unbind_burst(node_, it->second.port);
   buffer_.erase_session(id);
   cached_state_ = nullptr;  // the arrival-path cache may point at `it`
   sessions_.erase(it);
@@ -170,62 +162,48 @@ std::size_t CodingVnf::lane_of(coding::SessionId s,
 
 // --- arrivals ---------------------------------------------------------
 
-std::size_t CodingVnf::enqueue_datagram(const netsim::Datagram& d) {
-  constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
+void CodingVnf::on_burst(std::span<netsim::Datagram> burst) {
   if (crashed_) {
     // The process is dead; the bound port drops traffic on the floor.
-    if (m_crash_dropped_ != nullptr) m_crash_dropped_->inc();
-    return kNoLane;
+    if (m_crash_dropped_ != nullptr) m_crash_dropped_->inc(burst.size());
+    return;
   }
-  auto pkt = coding::CodedPacket::parse(d.payload, cfg_.params, buffer_.pool());
-  if (!pkt) return kNoLane;  // not an NC packet for our parameters
-  // A burst is overwhelmingly one session's packets back to back; cache
-  // the last hit so only the first packet of a run pays the map walk.
-  if (cached_state_ == nullptr || cached_session_ != pkt->session) {
-    auto sit = sessions_.find(pkt->session);
-    if (sit == sessions_.end()) return kNoLane;
-    cached_session_ = sit->first;
-    cached_state_ = &sit->second;
-  }
-
-  // Admission to the processing lane serving this generation.
-  const std::size_t idx = lane_of(pkt->session, pkt->generation);
-  Lane& lane = lanes_[idx];
-  if (lane.queue.size() >= cfg_.proc_queue_limit) {
-    ++cached_state_->stats.proc_dropped;
-    if (m_proc_dropped_ != nullptr) m_proc_dropped_->inc();
-    return kNoLane;
-  }
-  lane.queue.push_back(std::move(*pkt));
-  ++queued_total_;
-  return idx;
-}
-
-void CodingVnf::note_backlog() {
-  if (m_lane_backlog_ != nullptr) {
-    m_lane_backlog_->set(static_cast<double>(queued_total_));
-  }
-}
-
-void CodingVnf::on_datagram(const netsim::Datagram& d) {
-  const std::size_t idx = enqueue_datagram(d);
-  note_backlog();
-  if (idx != static_cast<std::size_t>(-1)) start_drain(idx);
-}
-
-void CodingVnf::on_burst(std::span<netsim::Datagram> burst) {
   // Enqueue the whole burst before arming any drain so the first service
   // event sees the full backlog and drains a full batch, not a singleton.
   touched_lanes_.clear();
   for (const netsim::Datagram& d : burst) {
-    const std::size_t idx = enqueue_datagram(d);
-    if (idx == static_cast<std::size_t>(-1)) continue;
+    auto pkt =
+        coding::CodedPacket::parse(d.payload, cfg_.params, buffer_.pool());
+    if (!pkt) continue;  // not an NC packet for our parameters
+    // A burst is overwhelmingly one session's packets back to back; cache
+    // the last hit so only the first packet of a run pays the map walk.
+    if (cached_state_ == nullptr || cached_session_ != pkt->session) {
+      auto sit = sessions_.find(pkt->session);
+      if (sit == sessions_.end()) continue;
+      cached_session_ = sit->first;
+      cached_state_ = &sit->second;
+    }
+
+    // Admission to the processing lane serving this generation.
+    const std::size_t idx = lane_of(pkt->session, pkt->generation);
+    Lane& lane = lanes_[idx];
+    if (lane.queue.size() >= cfg_.proc_queue_limit) {
+      ++cached_state_->stats.proc_dropped;
+      if (m_proc_dropped_ != nullptr) m_proc_dropped_->inc();
+      continue;
+    }
+    lane.queue.push_back(std::move(*pkt));
+    ++queued_total_;
     if (std::find(touched_lanes_.begin(), touched_lanes_.end(), idx) ==
         touched_lanes_.end()) {
       touched_lanes_.push_back(idx);
     }
   }
-  note_backlog();
+  // Once per arrival burst, not per packet: Gauge::set only stores, so
+  // intermediate values are invisible anyway.
+  if (m_lane_backlog_ != nullptr) {
+    m_lane_backlog_->set(static_cast<double>(queued_total_));
+  }
   for (const std::size_t idx : touched_lanes_) start_drain(idx);
 }
 

@@ -228,13 +228,9 @@ class CodingVnf {
   /// This packet completed the generation's rank.
   static constexpr std::uint8_t kMetaCompletedNow = 0x04;
 
-  void on_datagram(const netsim::Datagram& d);
+  /// Arrivals at a session port (a single datagram is a burst of one):
+  /// parse, lane admission, then one drain armed per touched lane.
   void on_burst(std::span<netsim::Datagram> burst);
-  /// Parse + lane admission; returns the lane index or npos on drop.
-  std::size_t enqueue_datagram(const netsim::Datagram& d);
-  /// Refresh the lane-backlog gauge (once per arrival burst, not per
-  /// packet — Gauge::set only stores, intermediate values are invisible).
-  void note_backlog();
   /// Arm a drain event for the lane if work is queued and none is armed.
   void start_drain(std::size_t lane);
   /// Service completion: pop up to k packets and run them as one batch.

@@ -76,6 +76,27 @@ TEST(Simulator, CancelAfterFireIsNoop) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(Simulator, RunMovesCallbacksOutOfTheQueue) {
+  // What a callback captured (a link burst's datagrams, say) is moved
+  // through the queue, never copied.
+  struct Tally {
+    int* copies;
+    explicit Tally(int* c) : copies(c) {}
+    Tally(const Tally& o) : copies(o.copies) { ++*copies; }
+    Tally(Tally&& o) noexcept : copies(o.copies) {}
+  };
+  Simulator sim;
+  int copies = 0;
+  int fired = 0;
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule(1.0 + i, [t = Tally(&copies), &fired] { ++fired; });
+  }
+  copies = 0;  // count only what happens inside the simulator
+  sim.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(copies, 0);
+}
+
 namespace {
 Network make_two_node_net(double capacity_bps, double delay_s,
                           std::size_t queue = 512) {
@@ -252,6 +273,114 @@ TEST(Network, ZeroJitterKeepsOrder) {
   for (std::size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(order[i], i);
   }
+}
+
+// ---- Bursts: one departure and one delivery event per link burst ----
+
+namespace {
+/// `n` datagrams 0 -> 1 on `port`, payload[0] = index in the burst.
+std::vector<Datagram> make_burst(std::size_t n, Port port = 9) {
+  std::vector<Datagram> burst;
+  for (std::size_t i = 0; i < n; ++i) {
+    Datagram d = make_dgram(0, 1, port, 972);
+    d.payload[0] = static_cast<std::uint8_t>(i);
+    burst.push_back(std::move(d));
+  }
+  return burst;
+}
+}  // namespace
+
+TEST(Network, BurstRunsTwoEventsWhereSingleSendsRunTwoEach) {
+  constexpr std::size_t kN = 8;
+  Network bursty = make_two_node_net(8e6, 0.05);
+  bursty.send_burst(make_burst(kN));
+  EXPECT_EQ(bursty.sim().run(), 2u);
+  EXPECT_EQ(bursty.link(0, 1)->stats().delivered, kN);
+
+  Network single = make_two_node_net(8e6, 0.05);
+  for (Datagram& d : make_burst(kN)) ASSERT_TRUE(single.send(std::move(d)));
+  EXPECT_EQ(single.sim().run(), 2 * kN);
+  EXPECT_EQ(single.link(0, 1)->stats().delivered, kN);
+}
+
+TEST(Network, BurstArrivesInOrderAtLastPacketDeliveryTime) {
+  Network net = make_two_node_net(8e6, 0.05);  // 1 ms per 1000 B packet
+  std::vector<std::uint8_t> order;
+  std::vector<double> arrivals;
+  net.bind(1, 9, [&](const Datagram& d) {
+    order.push_back(d.payload[0]);
+    arrivals.push_back(net.sim().now());
+  });
+  net.send_burst(make_burst(4));
+  net.sim().run();
+  EXPECT_EQ(order, (std::vector<std::uint8_t>{0, 1, 2, 3}));
+  ASSERT_EQ(arrivals.size(), 4u);
+  for (double t : arrivals) EXPECT_NEAR(t, 0.004 + 0.05, 1e-9);
+}
+
+TEST(Network, TailDropInsideBurst) {
+  Network net = make_two_node_net(8e6, 0.0, /*queue=*/2);
+  std::vector<std::uint8_t> order;
+  net.bind(1, 9, [&](const Datagram& d) { order.push_back(d.payload[0]); });
+  net.send_burst(make_burst(4));
+  net.sim().run();
+  EXPECT_EQ(order, (std::vector<std::uint8_t>{0, 1}));
+  const LinkStats& s = net.link(0, 1)->stats();
+  EXPECT_EQ(s.delivered, 2u);
+  EXPECT_EQ(s.dropped_queue, 2u);
+  EXPECT_TRUE(s.conserved());
+}
+
+TEST(Network, LinkDownDropsWholeBurstInFlight) {
+  Network net = make_two_node_net(8e6, 0.05);
+  int delivered = 0;
+  net.bind(1, 9, [&](const Datagram&) { ++delivered; });
+  net.send_burst(make_burst(4));
+  net.sim().run_until(0.02);  // serialized, still propagating
+  EXPECT_EQ(net.link(0, 1)->stats().in_flight, 4u);
+  net.link(0, 1)->set_up(false);
+  net.sim().run();
+  EXPECT_EQ(delivered, 0);
+  const LinkStats& s = net.link(0, 1)->stats();
+  EXPECT_EQ(s.dropped_down, 4u);
+  EXPECT_EQ(s.in_flight, 0u);
+  EXPECT_TRUE(s.conserved());
+}
+
+TEST(Network, BindAndBindBurstShareOneBindingPerPort) {
+  Network net = make_two_node_net(8e6, 0.0);
+  int datagrams = 0;
+  std::vector<std::size_t> runs;
+  const auto count_datagrams = [&](const Datagram&) { ++datagrams; };
+  const auto count_runs = [&](std::span<Datagram> run) {
+    runs.push_back(run.size());
+  };
+
+  // bind_burst replaces bind: the burst handler alone sees the burst.
+  net.bind(1, 9, count_datagrams);
+  net.bind_burst(1, 9, count_runs);
+  net.send_burst(make_burst(3));
+  net.sim().run();
+  EXPECT_EQ(datagrams, 0);
+  EXPECT_EQ(runs, (std::vector<std::size_t>{3}));
+
+  // And bind replaces bind_burst.
+  net.bind(1, 9, count_datagrams);
+  net.send_burst(make_burst(3));
+  net.sim().run();
+  EXPECT_EQ(datagrams, 3);
+  EXPECT_EQ(runs.size(), 1u);
+
+  // unbind removes either kind.
+  net.unbind(1, 9);
+  net.send_burst(make_burst(3));
+  net.bind_burst(1, 9, count_runs);
+  net.unbind(1, 9);
+  ASSERT_TRUE(net.send(make_dgram(0, 1, 9, 10)));
+  net.sim().run();
+  EXPECT_EQ(datagrams, 3);
+  EXPECT_EQ(runs.size(), 1u);
+  EXPECT_EQ(net.link(0, 1)->stats().delivered, 10u);
 }
 
 // ---- Loss models ----

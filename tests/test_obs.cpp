@@ -1,8 +1,9 @@
 // Observability layer tests: metrics registry semantics, histogram edge
 // cases, the trace determinism contract (two same-seed runs must be
-// byte-identical), golden-trace regression for two end-to-end scenarios,
-// golden controller plans under churn (the LP answers, bit for bit), and
-// the zero-allocation guarantee of the instrumented hot path.
+// byte-identical), golden-trace regression for two end-to-end scenarios
+// and the Direct-TCP baseline, golden controller plans under churn (the
+// LP answers, bit for bit), and the zero-allocation guarantee of the
+// instrumented hot path.
 //
 // Golden files live in tests/golden/. After an *intentional* behaviour
 // change, regenerate them with:
@@ -28,6 +29,8 @@
 #include "ctrl/problem.hpp"
 #include "graph/topology.hpp"
 #include "netsim/loss.hpp"
+#include "netsim/network.hpp"
+#include "netsim/tcp.hpp"
 #include "obs/obs.hpp"
 
 namespace {
@@ -421,6 +424,48 @@ TEST(GoldenTrace, Butterfly) {
 TEST(GoldenTrace, ButterflyMetrics) {
   check_golden("metrics_butterfly.json", run_butterfly(7).metrics_json);
 }
+
+// The Fig. 7 Direct-TCP baseline: one TcpTransfer over a lossy, jittery
+// two-node link pair. It sends every segment and ACK as a single
+// datagram and cancels its RTO timer on almost every ACK; jitter
+// reorders segments into duplicate ACKs (fast retransmit) and lost
+// retransmissions leave holes only the RTO repairs. The trace ends with
+// one line of TcpStats, the completion time in exact %a form.
+std::string run_tcp(std::uint32_t seed) {
+  obs::Observability hub;
+  netsim::Network net(seed);
+  hub.trace.set_clock([sim = &net.sim()] { return sim->now(); });
+  hub.trace.enable();
+  net.set_obs(&hub);
+  net.add_node("src");
+  net.add_node("dst");
+  netsim::LinkConfig lc;
+  lc.capacity_bps = 10e6;
+  lc.prop_delay = 0.010;
+  lc.queue_packets = 64;
+  lc.jitter = 0.002;
+  net.add_duplex_link(0, 1, lc);
+  net.link(0, 1)->set_loss_model(std::make_unique<netsim::UniformLoss>(0.05));
+  netsim::TcpTransfer tcp(net, 0, 1, 5000, 300 * 1000);
+  tcp.start();
+  net.sim().run_until(120.0);
+  EXPECT_TRUE(tcp.finished());
+  const netsim::TcpStats& s = tcp.stats();
+  EXPECT_GT(s.fast_retransmits, 0u);
+  EXPECT_GT(s.timeouts, 0u);
+  char line[200];
+  std::snprintf(line, sizeof line,
+                "{\"ev\":\"tcp_stats\",\"sent\":%llu,\"retx\":%llu,"
+                "\"timeouts\":%llu,\"fast_retx\":%llu,\"done\":\"%a\"}\n",
+                static_cast<unsigned long long>(s.segments_sent),
+                static_cast<unsigned long long>(s.retransmissions),
+                static_cast<unsigned long long>(s.timeouts),
+                static_cast<unsigned long long>(s.fast_retransmits),
+                s.completion_time);
+  return hub.trace.data() + line;
+}
+
+TEST(GoldenTrace, DirectTcp) { check_golden("trace_tcp.jsonl", run_tcp(3)); }
 
 // ---------------------------------------------------------------------------
 // Golden controller plans under churn: the LP answers, bit for bit
