@@ -1,9 +1,14 @@
 // bench_scale — multi-worker engine scaling curve plus a 10^5-receiver
-// aggregate scenario, emitted as JSON (tools/bench_scale.sh captures it
+// aggregate scenario, emitted as JSON (tools/bench_all.sh captures it
 // into BENCH_scale.json).
 //
 //   bench_scale [--shards <n>] [--duration <s>] [--aggregate-sessions <n>]
-//               [--group <receivers-per-node>]
+//               [--group <receivers-per-node>] [--context <key>=<value>]...
+//
+// The JSON opens with the host stamp: host_cores and the dispatched GF
+// tier, which the bench reads itself, then one string field per
+// --context pair (bench_all.sh passes build type, compiler and git sha,
+// the same pairs it hands the google-benchmark binaries).
 //
 // Part 1: <n> disjoint copies of the Fig. 6 butterfly run to <s>
 // simulated seconds under 1/2/4/8 workers; wall-clock per worker count
@@ -14,10 +19,10 @@
 //
 // Part 2: the paper argues NC VNFs suit CDN-scale distribution; 10^5
 // individually simulated receivers is out of reach for one event queue,
-// so receiver NODES model aggregate groups of co-located receivers
-// (paper Sec. V's many-client story): sessions x 2 receiver nodes x
-// group size = total receivers modeled. Reported: wall clock, events,
-// bottleneck goodput.
+// so each simulated receiver NODE stands for a group of co-located
+// receivers (paper Sec. V's many-client story): sessions x 2 receiver
+// nodes x group size = receivers_represented. Reported: wall clock,
+// events, bottleneck goodput.
 //
 // Speedup depends on the host — the JSON records host_cores; a 1-core
 // container will honestly report ~1.0x.
@@ -32,6 +37,7 @@
 #include "app/config.hpp"
 #include "app/shard.hpp"
 #include "ctrl/problem.hpp"
+#include "gf/gf256_simd.hpp"
 #include "graph/topology.hpp"
 #include "netsim/worker.hpp"
 
@@ -47,6 +53,16 @@ T arg_num(const char* flag, const char* value) {
     std::exit(2);
   }
   return *v;
+}
+
+/// `s` as a JSON string literal.
+std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
 }
 
 double wall_ms(const std::chrono::steady_clock::time_point t0) {
@@ -138,6 +154,7 @@ int main(int argc, char** argv) {
   double duration = 2.0;
   std::size_t agg_sessions = 50;
   std::size_t group = 1000;
+  std::vector<std::string> context;  // "key=value" stamp pairs
   for (int i = 1; i + 1 < argc; i += 2) {
     if (std::strcmp(argv[i], "--shards") == 0) {
       shards = arg_num<std::size_t>("--shards", argv[i + 1]);
@@ -150,6 +167,13 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--group") == 0) {
       group = arg_num<std::size_t>("--group", argv[i + 1]);
+    }
+    if (std::strcmp(argv[i], "--context") == 0) {
+      if (std::strchr(argv[i + 1], '=') == nullptr) {
+        std::fprintf(stderr, "bad value for --context: '%s'\n", argv[i + 1]);
+        return 2;
+      }
+      context.emplace_back(argv[i + 1]);
     }
   }
 
@@ -168,6 +192,13 @@ int main(int argc, char** argv) {
 
   std::printf("{\n  \"bench\": \"scale\",\n  \"host_cores\": %zu,\n",
               netsim::WorkerPool::hardware_workers());
+  std::printf("  \"gf_tier\": \"%s\",\n",
+              gf::simd::tier_name(gf::simd::active_tier()));
+  for (const std::string& kv : context) {
+    const std::size_t eq = kv.find('=');
+    std::printf("  %s: %s,\n", json_string(kv.substr(0, eq)).c_str(),
+                json_string(kv.substr(eq + 1)).c_str());
+  }
   std::printf("  \"shards\": %zu,\n  \"duration_s\": %.3f,\n", shards,
               duration);
   std::printf("  \"scaling\": [\n");
@@ -208,7 +239,8 @@ int main(int argc, char** argv) {
   const std::size_t agg_workers = netsim::WorkerPool::hardware_workers();
   const TimedRun r = timed_run(agg, agg_plan, agg_workers, 1.0);
   std::printf("  \"aggregate\": {\n");
-  std::printf("    \"receivers_modeled\": %zu,\n", agg_sessions * 2 * group);
+  std::printf("    \"receivers_represented\": %zu,\n",
+              agg_sessions * 2 * group);
   std::printf("    \"sessions\": %zu,\n    \"receiver_nodes\": %zu,\n",
               agg_sessions, agg_sessions * 2);
   std::printf("    \"group_per_node\": %zu,\n    \"workers\": %zu,\n", group,

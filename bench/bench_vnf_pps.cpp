@@ -14,7 +14,7 @@
 //
 // items_per_second is arrival packets through the lane; the acceptance
 // gate for the batched data plane is >= 2x batch=32 over batch=1 at
-// g=32. tools/bench_vnf.sh wraps this binary into BENCH_vnf_pps.json.
+// g=32. tools/bench_all.sh records its results in BENCH_vnf_pps.json.
 #include <benchmark/benchmark.h>
 
 #include <random>

@@ -1,7 +1,7 @@
 // Differential fuzz target: GF(2^8) kernel tiers vs the scalar oracle.
 //
-// The repo dispatches four kernel tiers (scalar / SSSE3 / AVX2 / GFNI)
-// that must be bit-exact. The unit tests assert equality on hand-picked
+// The repo dispatches three kernel tiers (scalar / AVX2 / GFNI) that
+// must be bit-exact. The unit tests assert equality on hand-picked
 // shapes; this target makes the property input-driven: every fuzz input
 // decodes to a (coeff set, row length, byte material) triple, every tier
 // the build + CPU supports runs every kernel on identical operands, and
@@ -96,8 +96,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   check_rows_equal(scalar_x4, want_x4,
                    "scalar muladd_x4 must equal its unfused decomposition");
 
-  const KernelTable* tiers[] = {detail::ssse3_table(), detail::avx2_table(),
-                                detail::gfni_table()};
+  const KernelTable* tiers[] = {detail::avx2_table(), detail::gfni_table()};
   for (const KernelTable* t : tiers) {
     if (t == nullptr) continue;  // build or CPU lacks the ISA
     auto got = dst0;

@@ -132,19 +132,4 @@ void Orchestrator::report_vm_bandwidth(graph::NodeIdx dc, double bin_bps,
   flush_signals();
 }
 
-void Orchestrator::notify_link_state(graph::EdgeIdx e, bool up) {
-  ctl_.report_link_state(e, up, sim_.net().sim().now());
-  flush_signals();
-}
-
-void Orchestrator::notify_node_state(graph::NodeIdx dc, bool up) {
-  ctl_.report_node_state(dc, up, sim_.net().sim().now());
-  flush_signals();
-}
-
-void Orchestrator::crash_vnf(graph::NodeIdx dc,
-                             std::optional<double> restart_after_s) {
-  daemons_.at(dc)->crash(restart_after_s);
-}
-
 }  // namespace ncfn::app

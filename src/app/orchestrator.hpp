@@ -60,24 +60,10 @@ class Orchestrator {
   void report_vm_bandwidth(graph::NodeIdx dc, double bin_bps,
                            double bout_bps);
 
-  // ---- Failure injection / notification ----
-  /// Explicit topology-change event: an external monitor saw edge e fail
-  /// or recover. Triggers the controller's failure re-solve and ships the
-  /// resulting signals. (The alternative detection path — heartbeat
-  /// timeout — needs no call here.)
-  void notify_link_state(graph::EdgeIdx e, bool up);
-  /// Machine-level failure/recovery of a whole data center.
-  void notify_node_state(graph::NodeIdx dc, bool up);
-  /// Kill the coding process at a DC mid-run; it restarts cold
-  /// `restart_after_s` later (default: the coding-function start latency).
-  void crash_vnf(graph::NodeIdx dc,
-                 std::optional<double> restart_after_s = std::nullopt);
-
   [[nodiscard]] ctrl::Controller& controller() { return ctl_; }
   [[nodiscard]] vnf::VnfDaemon& daemon(graph::NodeIdx dc) {
     return *daemons_.at(dc);
   }
-  [[nodiscard]] netsim::NodeId controller_node() const { return ctl_node_; }
   /// Signals shipped over the network so far.
   [[nodiscard]] std::size_t signals_dispatched() const { return dispatched_; }
 

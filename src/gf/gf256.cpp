@@ -59,7 +59,7 @@ u8 pow(u8 a, unsigned e) noexcept {
 }
 
 // The bulk kernels route through the runtime-dispatched tier table
-// (scalar / SSSE3 / AVX2 — see gf256_simd.hpp); every tier handles
+// (scalar / AVX2 / GFNI — see gf256_simd.hpp); every tier handles
 // arbitrary lengths and alignments internally.
 
 void bulk_xor(std::span<u8> dst, std::span<const u8> src) noexcept {

@@ -1,23 +1,16 @@
-// AVX2 tier: VPSHUFB nibble-table kernels, 32 bytes per shuffle. The
-// 16-byte nibble tables are broadcast to both 128-bit lanes once per
-// coefficient; VPSHUFB shuffles within each lane, which is exactly the
-// semantics the nibble lookup needs. Compiled with -mavx2; the runtime
-// CPU probe in avx2_table() keeps the dispatcher honest on older
-// hardware. Sub-32-byte tails take one SSE step then the scalar row walk.
-// All memory access goes through the load/store helpers in
-// gf256_kernels.hpp.
+// AVX2 tier: the VPSHUFB nibble-table multiply, 32 bytes per shuffle
+// pair. Every source byte splits into nibbles, and c*x resolves through
+// two 16-entry product tables broadcast to both 128-bit lanes; VPSHUFB
+// shuffles within each lane, which is exactly the semantics the nibble
+// lookup needs. The loops around it are the shared body in
+// gf256_kernels.hpp. Compiled with -mavx2; the runtime CPU probe in
+// avx2_table() keeps the dispatcher honest on older hardware.
+#include "gf/gf256.hpp"
 #include "gf/gf256_kernels.hpp"
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#define NCFN_HAVE_AVX2 1
-#else
-#define NCFN_HAVE_AVX2 0
-#endif
 
 namespace ncfn::gf::simd::detail {
 
-#if NCFN_HAVE_AVX2
+#if defined(__AVX2__)
 
 namespace {
 
@@ -29,145 +22,62 @@ bool cpu_has_avx2() noexcept {
 #endif
 }
 
-/// Load a 16-byte nibble table and broadcast it to both ymm lanes.
-inline __m256i load_tab(const std::uint8_t* tab16) {
-  return _mm256_broadcastsi128_si256(load_table_128(tab16));
-}
+/// Per-coefficient nibble product tables: lo[c][x] = c * x,
+/// hi[c][x] = c * (x << 4), each 16 bytes — VPSHUFB operands.
+struct NibbleTables {
+  std::uint8_t lo[256][16];
+  std::uint8_t hi[256][16];
+};
 
-void muladd_avx2(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                 std::uint8_t c) {
-  const NibbleTables& nt = nibble_tables();
-  const __m256i lo_tab = load_tab(nt.lo[c]);
-  const __m256i hi_tab = load_tab(nt.hi[c]);
-  const __m256i mask = _mm256_set1_epi8(0x0F);
+struct NibbleMul {
+  static constexpr Tier kTier = Tier::kAvx2;
 
-  std::size_t i = 0;
-  // Two independent 32-byte streams per iteration hide the
-  // shuffle->xor->store latency chain on long buffers.
-  for (; i + 64 <= n; i += 64) {
-    const __m256i s0 = load_u256(src + i);
-    const __m256i s1 = load_u256(src + i + 32);
-    const __m256i d0 = load_u256(dst + i);
-    const __m256i d1 = load_u256(dst + i + 32);
-    const __m256i lo0 = _mm256_shuffle_epi8(lo_tab, _mm256_and_si256(s0, mask));
-    const __m256i lo1 = _mm256_shuffle_epi8(lo_tab, _mm256_and_si256(s1, mask));
-    const __m256i hi0 = _mm256_shuffle_epi8(
-        hi_tab, _mm256_and_si256(_mm256_srli_epi64(s0, 4), mask));
-    const __m256i hi1 = _mm256_shuffle_epi8(
-        hi_tab, _mm256_and_si256(_mm256_srli_epi64(s1, 4), mask));
-    store_u256(dst + i, _mm256_xor_si256(d0, _mm256_xor_si256(lo0, hi0)));
-    store_u256(dst + i + 32, _mm256_xor_si256(d1, _mm256_xor_si256(lo1, hi1)));
+  static const NibbleTables& tables() noexcept {
+    static const NibbleTables t = [] {
+      NibbleTables nt{};
+      for (int c = 0; c < 256; ++c) {
+        for (int x = 0; x < 16; ++x) {
+          nt.lo[c][x] = gf::mul(static_cast<u8>(c), static_cast<u8>(x));
+          nt.hi[c][x] = gf::mul(static_cast<u8>(c), static_cast<u8>(x << 4));
+        }
+      }
+      return nt;
+    }();
+    return t;
   }
-  for (; i + 32 <= n; i += 32) {
-    const __m256i s = load_u256(src + i);
-    const __m256i d = load_u256(dst + i);
-    const __m256i lo = _mm256_shuffle_epi8(lo_tab, _mm256_and_si256(s, mask));
-    const __m256i hi = _mm256_shuffle_epi8(
-        hi_tab, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask));
-    store_u256(dst + i, _mm256_xor_si256(d, _mm256_xor_si256(lo, hi)));
-  }
-  if (i + 16 <= n) {
-    const __m128i lo128 = _mm256_castsi256_si128(lo_tab);
-    const __m128i hi128 = _mm256_castsi256_si128(hi_tab);
-    const __m128i m128 = _mm_set1_epi8(0x0F);
-    const __m128i s = load_u128(src + i);
-    const __m128i d = load_u128(dst + i);
-    const __m128i lo = _mm_shuffle_epi8(lo128, _mm_and_si128(s, m128));
-    const __m128i hi =
-        _mm_shuffle_epi8(hi128, _mm_and_si128(_mm_srli_epi64(s, 4), m128));
-    store_u128(dst + i, _mm_xor_si128(d, _mm_xor_si128(lo, hi)));
-    i += 16;
-  }
-  if (i < n) scalar_table()->muladd(dst + i, src + i, n - i, c);
-}
 
-void mul_avx2(std::uint8_t* dst, std::size_t n, std::uint8_t c) {
-  const NibbleTables& nt = nibble_tables();
-  const __m256i lo_tab = load_tab(nt.lo[c]);
-  const __m256i hi_tab = load_tab(nt.hi[c]);
-  const __m256i mask = _mm256_set1_epi8(0x0F);
+  NibbleMul(const NibbleTables& nt, std::uint8_t c)
+      : lo(_mm256_broadcastsi128_si256(load_u128(nt.lo[c]))),
+        hi(_mm256_broadcastsi128_si256(load_u128(nt.hi[c]))) {}
 
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i d = load_u256(dst + i);
-    const __m256i lo = _mm256_shuffle_epi8(lo_tab, _mm256_and_si256(d, mask));
-    const __m256i hi = _mm256_shuffle_epi8(
-        hi_tab, _mm256_and_si256(_mm256_srli_epi64(d, 4), mask));
-    store_u256(dst + i, _mm256_xor_si256(lo, hi));
+  __m256i operator()(__m256i x) const {
+    const __m256i mask = _mm256_set1_epi8(0x0F);
+    return _mm256_xor_si256(
+        _mm256_shuffle_epi8(lo, _mm256_and_si256(x, mask)),
+        _mm256_shuffle_epi8(hi,
+                            _mm256_and_si256(_mm256_srli_epi64(x, 4), mask)));
   }
-  if (i < n) scalar_table()->mul(dst + i, n - i, c);
-}
 
-void xor_avx2(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i s = load_u256(src + i);
-    const __m256i d = load_u256(dst + i);
-    store_u256(dst + i, _mm256_xor_si256(d, s));
+  __m128i half(__m128i x) const {
+    const __m128i mask = _mm_set1_epi8(0x0F);
+    return _mm_xor_si128(
+        _mm_shuffle_epi8(_mm256_castsi256_si128(lo), _mm_and_si128(x, mask)),
+        _mm_shuffle_epi8(_mm256_castsi256_si128(hi),
+                         _mm_and_si128(_mm_srli_epi64(x, 4), mask)));
   }
-  if (i < n) scalar_table()->bxor(dst + i, src + i, n - i);
-}
 
-void muladd_x4_avx2(std::uint8_t* dst, const std::uint8_t* const src[4],
-                    const std::uint8_t c[4], std::size_t n) {
-  const NibbleTables& nt = nibble_tables();
-  __m256i lo_tab[4], hi_tab[4];
-  for (int j = 0; j < 4; ++j) {
-    lo_tab[j] = load_tab(nt.lo[c[j]]);
-    hi_tab[j] = load_tab(nt.hi[c[j]]);
-  }
-  const __m256i mask = _mm256_set1_epi8(0x0F);
-
-  std::size_t i = 0;
-  // Two accumulators per source row split the eight-xor dependency chain
-  // in half; they fold together once per 32-byte block.
-  for (; i + 32 <= n; i += 32) {
-    __m256i acc0 = load_u256(dst + i);
-    __m256i acc1 = _mm256_setzero_si256();
-    for (int j = 0; j < 4; ++j) {
-      const __m256i s = load_u256(src[j] + i);
-      acc0 = _mm256_xor_si256(
-          acc0, _mm256_shuffle_epi8(lo_tab[j], _mm256_and_si256(s, mask)));
-      acc1 = _mm256_xor_si256(
-          acc1, _mm256_shuffle_epi8(
-                    hi_tab[j],
-                    _mm256_and_si256(_mm256_srli_epi64(s, 4), mask)));
-    }
-    store_u256(dst + i, _mm256_xor_si256(acc0, acc1));
-  }
-  if (i + 16 <= n) {
-    const __m128i m128 = _mm_set1_epi8(0x0F);
-    __m128i acc = load_u128(dst + i);
-    for (int j = 0; j < 4; ++j) {
-      const __m128i s = load_u128(src[j] + i);
-      acc = _mm_xor_si128(
-          acc, _mm_shuffle_epi8(_mm256_castsi256_si128(lo_tab[j]),
-                                _mm_and_si128(s, m128)));
-      acc = _mm_xor_si128(
-          acc, _mm_shuffle_epi8(_mm256_castsi256_si128(hi_tab[j]),
-                                _mm_and_si128(_mm_srli_epi64(s, 4), m128)));
-    }
-    store_u128(dst + i, acc);
-    i += 16;
-  }
-  if (i < n) {
-    const std::uint8_t* tails[4] = {src[0] + i, src[1] + i, src[2] + i,
-                                    src[3] + i};
-    scalar_table()->muladd_x4(dst + i, tails, c, n - i);
-  }
-}
-
-constexpr KernelTable kAvx2Table{muladd_avx2, mul_avx2, xor_avx2,
-                                 muladd_x4_avx2, Tier::kAvx2, "avx2"};
+  __m256i lo, hi;
+};
 
 }  // namespace
 
 const KernelTable* avx2_table() noexcept {
-  static const KernelTable* t = cpu_has_avx2() ? &kAvx2Table : nullptr;
+  static const KernelTable* t =
+      cpu_has_avx2() ? &kVectorTable<NibbleMul> : nullptr;
   return t;
 }
 
-#else  // !NCFN_HAVE_AVX2
+#else  // !__AVX2__
 
 const KernelTable* avx2_table() noexcept { return nullptr; }
 

@@ -12,33 +12,37 @@ namespace ncfn::gf::simd {
 
 namespace {
 
+struct TierEntry {
+  Tier tier;
+  const char* name;  // the NCFN_GF_ISA spelling
+  const KernelTable* (*table)() noexcept;
+};
+
+/// Every tier, best first: auto selection takes the first one the build
+/// and CPU can run, and scalar always can.
+constexpr TierEntry kTiers[] = {
+    {Tier::kGfni, "gfni", detail::gfni_table},
+    {Tier::kAvx2, "avx2", detail::avx2_table},
+    {Tier::kScalar, "scalar", detail::scalar_table},
+};
+
 const KernelTable* table_for(Tier t) noexcept {
-  switch (t) {
-    case Tier::kScalar:
-      return detail::scalar_table();
-    case Tier::kSsse3:
-      return detail::ssse3_table();
-    case Tier::kAvx2:
-      return detail::avx2_table();
-    case Tier::kGfni:
-      return detail::gfni_table();
+  for (const TierEntry& e : kTiers) {
+    if (e.tier == t) return e.table();
   }
   return nullptr;
 }
 
 const KernelTable* auto_select() noexcept {
-  if (const char* e = std::getenv("NCFN_GF_ISA"); e != nullptr) {
-    for (Tier t : {Tier::kScalar, Tier::kSsse3, Tier::kAvx2, Tier::kGfni}) {
-      if (std::strcmp(e, tier_name(t)) == 0) {
-        if (const KernelTable* kt = table_for(t)) return kt;
+  if (const char* env = std::getenv("NCFN_GF_ISA"); env != nullptr) {
+    for (const TierEntry& e : kTiers) {
+      if (std::strcmp(env, e.name) == 0) {
+        if (const KernelTable* kt = e.table()) return kt;
       }
     }
     // Unknown or unsupported value: fall through to auto selection.
   }
-  if (const KernelTable* kt = table_for(Tier::kGfni)) return kt;
-  if (const KernelTable* kt = table_for(Tier::kAvx2)) return kt;
-  if (const KernelTable* kt = table_for(Tier::kSsse3)) return kt;
-  return detail::scalar_table();
+  return table_for(best_tier());
 }
 
 // Publication contract (release/acquire): every store below publishes a
@@ -67,24 +71,17 @@ const KernelTable& kernels() noexcept {
 Tier active_tier() noexcept { return kernels().tier; }
 
 Tier best_tier() noexcept {
-  if (tier_supported(Tier::kGfni)) return Tier::kGfni;
-  if (tier_supported(Tier::kAvx2)) return Tier::kAvx2;
-  if (tier_supported(Tier::kSsse3)) return Tier::kSsse3;
+  for (const TierEntry& e : kTiers) {
+    if (e.table() != nullptr) return e.tier;
+  }
   return Tier::kScalar;
 }
 
 bool tier_supported(Tier t) noexcept { return table_for(t) != nullptr; }
 
 const char* tier_name(Tier t) noexcept {
-  switch (t) {
-    case Tier::kScalar:
-      return "scalar";
-    case Tier::kSsse3:
-      return "ssse3";
-    case Tier::kAvx2:
-      return "avx2";
-    case Tier::kGfni:
-      return "gfni";
+  for (const TierEntry& e : kTiers) {
+    if (e.tier == t) return e.name;
   }
   return "?";
 }
@@ -99,7 +96,5 @@ bool force_tier(Tier t) noexcept {
 void reset_tier() noexcept {
   g_active.store(auto_select(), std::memory_order_release);
 }
-
-bool available() noexcept { return tier_supported(Tier::kSsse3); }
 
 }  // namespace ncfn::gf::simd

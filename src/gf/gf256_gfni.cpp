@@ -1,11 +1,11 @@
-// GFNI tier: GF2P8AFFINEQB kernels, 32 bytes per instruction. Multiplying
-// GF(2^8) by a constant c is a linear map over GF(2), so it can be
-// expressed as one 8x8 bit-matrix affine transform: the per-coefficient
-// matrix packs the products c*2^k column-wise, and a single
-// vgf2p8affineqb replaces the two shuffles + masking of the nibble path.
+// GFNI tier: the GF2P8AFFINEQB multiply, 32 bytes per instruction.
+// Multiplying GF(2^8) by a constant c is a linear map over GF(2), so it
+// can be expressed as one 8x8 bit-matrix affine transform: the
+// per-coefficient matrix packs the products c*2^k column-wise, and a
+// single vgf2p8affineqb replaces the two shuffles + masking of the nibble
+// path. The loops around it are the shared body in gf256_kernels.hpp.
 // Compiled with -mavx2 -mgfni; the runtime probe in gfni_table() keeps
-// the dispatcher honest on hardware without GFNI. All memory access goes
-// through the load/store helpers in gf256_kernels.hpp.
+// the dispatcher honest on hardware without GFNI.
 //
 // Note: GF2P8AFFINEQB's sibling GF2P8MULB multiplies in the AES field
 // (poly 0x11B), not ours (0x11D) — the affine form works for any poly
@@ -13,16 +13,9 @@
 #include "gf/gf256.hpp"
 #include "gf/gf256_kernels.hpp"
 
-#if defined(__GFNI__) && defined(__AVX2__)
-#include <immintrin.h>
-#define NCFN_HAVE_GFNI 1
-#else
-#define NCFN_HAVE_GFNI 0
-#endif
-
 namespace ncfn::gf::simd::detail {
 
-#if NCFN_HAVE_GFNI
+#if defined(__GFNI__) && defined(__AVX2__)
 
 namespace {
 
@@ -42,134 +35,53 @@ struct AffineMatrices {
   std::uint64_t m[256];
 };
 
-const AffineMatrices& affine_matrices() noexcept {
-  static const AffineMatrices tabs = [] {
-    AffineMatrices t{};
-    for (int c = 0; c < 256; ++c) {
-      std::uint64_t qw = 0;
-      for (int i = 0; i < 8; ++i) {
-        std::uint8_t row = 0;
-        for (int k = 0; k < 8; ++k) {
-          const u8 prod = mul(static_cast<u8>(c), static_cast<u8>(1u << k));
-          if ((prod >> i) & 1u) row |= static_cast<std::uint8_t>(1u << k);
+struct AffineMul {
+  static constexpr Tier kTier = Tier::kGfni;
+
+  static const AffineMatrices& tables() noexcept {
+    static const AffineMatrices tabs = [] {
+      AffineMatrices t{};
+      for (int c = 0; c < 256; ++c) {
+        std::uint64_t qw = 0;
+        for (int i = 0; i < 8; ++i) {
+          std::uint8_t row = 0;
+          for (int k = 0; k < 8; ++k) {
+            const u8 prod =
+                gf::mul(static_cast<u8>(c), static_cast<u8>(1u << k));
+            if ((prod >> i) & 1u) row |= static_cast<std::uint8_t>(1u << k);
+          }
+          qw |= static_cast<std::uint64_t>(row) << (8 * (7 - i));
         }
-        qw |= static_cast<std::uint64_t>(row) << (8 * (7 - i));
+        t.m[c] = qw;
       }
-      t.m[c] = qw;
-    }
-    return t;
-  }();
-  return tabs;
-}
-
-void muladd_gfni(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
-                 std::uint8_t c) {
-  const __m256i A = _mm256_set1_epi64x(
-      static_cast<long long>(affine_matrices().m[c]));
-
-  std::size_t i = 0;
-  // Two independent 32-byte streams per iteration hide the
-  // affine->xor->store latency chain on long buffers.
-  for (; i + 64 <= n; i += 64) {
-    const __m256i s0 = load_u256(src + i);
-    const __m256i s1 = load_u256(src + i + 32);
-    const __m256i d0 = load_u256(dst + i);
-    const __m256i d1 = load_u256(dst + i + 32);
-    store_u256(dst + i,
-               _mm256_xor_si256(d0, _mm256_gf2p8affine_epi64_epi8(s0, A, 0)));
-    store_u256(dst + i + 32,
-               _mm256_xor_si256(d1, _mm256_gf2p8affine_epi64_epi8(s1, A, 0)));
-  }
-  for (; i + 32 <= n; i += 32) {
-    const __m256i s = load_u256(src + i);
-    const __m256i d = load_u256(dst + i);
-    store_u256(dst + i,
-               _mm256_xor_si256(d, _mm256_gf2p8affine_epi64_epi8(s, A, 0)));
-  }
-  if (i + 16 <= n) {
-    const __m128i A128 = _mm256_castsi256_si128(A);
-    const __m128i s = load_u128(src + i);
-    const __m128i d = load_u128(dst + i);
-    store_u128(dst + i,
-               _mm_xor_si128(d, _mm_gf2p8affine_epi64_epi8(s, A128, 0)));
-    i += 16;
-  }
-  if (i < n) scalar_table()->muladd(dst + i, src + i, n - i, c);
-}
-
-void mul_gfni(std::uint8_t* dst, std::size_t n, std::uint8_t c) {
-  const __m256i A = _mm256_set1_epi64x(
-      static_cast<long long>(affine_matrices().m[c]));
-
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i d = load_u256(dst + i);
-    store_u256(dst + i, _mm256_gf2p8affine_epi64_epi8(d, A, 0));
-  }
-  if (i < n) scalar_table()->mul(dst + i, n - i, c);
-}
-
-void xor_gfni(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i s = load_u256(src + i);
-    const __m256i d = load_u256(dst + i);
-    store_u256(dst + i, _mm256_xor_si256(d, s));
-  }
-  if (i < n) scalar_table()->bxor(dst + i, src + i, n - i);
-}
-
-void muladd_x4_gfni(std::uint8_t* dst, const std::uint8_t* const src[4],
-                    const std::uint8_t c[4], std::size_t n) {
-  const AffineMatrices& am = affine_matrices();
-  __m256i A[4];
-  for (int j = 0; j < 4; ++j) {
-    A[j] = _mm256_set1_epi64x(static_cast<long long>(am.m[c[j]]));
+      return t;
+    }();
+    return tabs;
   }
 
-  std::size_t i = 0;
-  // Two accumulators split the four-xor dependency chain in half; they
-  // fold together once per 32-byte block.
-  for (; i + 32 <= n; i += 32) {
-    __m256i acc0 = load_u256(dst + i);
-    __m256i acc1 = _mm256_setzero_si256();
-    for (int j = 0; j < 4; j += 2) {
-      const __m256i s0 = load_u256(src[j] + i);
-      const __m256i s1 = load_u256(src[j + 1] + i);
-      acc0 = _mm256_xor_si256(acc0, _mm256_gf2p8affine_epi64_epi8(s0, A[j], 0));
-      acc1 =
-          _mm256_xor_si256(acc1, _mm256_gf2p8affine_epi64_epi8(s1, A[j + 1], 0));
-    }
-    store_u256(dst + i, _mm256_xor_si256(acc0, acc1));
-  }
-  if (i + 16 <= n) {
-    __m128i acc = load_u128(dst + i);
-    for (int j = 0; j < 4; ++j) {
-      const __m128i s = load_u128(src[j] + i);
-      acc = _mm_xor_si128(
-          acc, _mm_gf2p8affine_epi64_epi8(s, _mm256_castsi256_si128(A[j]), 0));
-    }
-    store_u128(dst + i, acc);
-    i += 16;
-  }
-  if (i < n) {
-    const std::uint8_t* tails[4] = {src[0] + i, src[1] + i, src[2] + i,
-                                    src[3] + i};
-    scalar_table()->muladd_x4(dst + i, tails, c, n - i);
-  }
-}
+  AffineMul(const AffineMatrices& am, std::uint8_t c)
+      : a(_mm256_set1_epi64x(static_cast<long long>(am.m[c]))) {}
 
-constexpr KernelTable kGfniTable{muladd_gfni, mul_gfni, xor_gfni,
-                                 muladd_x4_gfni, Tier::kGfni, "gfni"};
+  __m256i operator()(__m256i x) const {
+    return _mm256_gf2p8affine_epi64_epi8(x, a, 0);
+  }
+
+  __m128i half(__m128i x) const {
+    return _mm_gf2p8affine_epi64_epi8(x, _mm256_castsi256_si128(a), 0);
+  }
+
+  __m256i a;
+};
 
 }  // namespace
 
 const KernelTable* gfni_table() noexcept {
-  static const KernelTable* t = cpu_has_gfni() ? &kGfniTable : nullptr;
+  static const KernelTable* t =
+      cpu_has_gfni() ? &kVectorTable<AffineMul> : nullptr;
   return t;
 }
 
-#else  // !NCFN_HAVE_GFNI
+#else  // !(__GFNI__ && __AVX2__)
 
 const KernelTable* gfni_table() noexcept { return nullptr; }
 

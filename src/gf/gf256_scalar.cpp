@@ -6,20 +6,6 @@
 
 namespace ncfn::gf::simd::detail {
 
-const NibbleTables& nibble_tables() noexcept {
-  static const NibbleTables t = [] {
-    NibbleTables nt{};
-    for (int c = 0; c < 256; ++c) {
-      for (int x = 0; x < 16; ++x) {
-        nt.lo[c][x] = mul(static_cast<u8>(c), static_cast<u8>(x));
-        nt.hi[c][x] = mul(static_cast<u8>(c), static_cast<u8>(x << 4));
-      }
-    }
-    return nt;
-  }();
-  return t;
-}
-
 namespace {
 
 void muladd_scalar(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
@@ -55,7 +41,7 @@ void muladd_x4_scalar(std::uint8_t* dst, const std::uint8_t* const src[4],
 }
 
 constexpr KernelTable kScalarTable{muladd_scalar, mul_scalar, xor_scalar,
-                                   muladd_x4_scalar, Tier::kScalar, "scalar"};
+                                   muladd_x4_scalar, Tier::kScalar};
 
 }  // namespace
 

@@ -1,14 +1,13 @@
 // SIMD kernels for the GF(2^8) hot path, behind a runtime dispatch table.
 //
-// Three tiers of the classic nibble-table technique (used by Kodo, ISA-L,
-// Jerasure): split every source byte into nibbles and resolve c*x through
-// two 16-entry lookup tables with a byte shuffle.
+// Three tiers. The two vector tiers share one kernel body
+// (gf256_kernels.hpp) and each supplies only its multiply-by-constant:
 //
-//   * scalar — one 256-byte product-table row per coefficient (baseline,
-//     kept for the ablation and as the tail path);
-//   * ssse3  — PSHUFB, 16 bytes per shuffle;
-//   * avx2   — VPSHUFB, 32 bytes per shuffle with the 16-byte tables
-//     broadcast to both 128-bit lanes;
+//   * scalar — one 256-byte product-table row per coefficient (the
+//     oracle every tier must match, and the tail path of the others);
+//   * avx2   — the classic nibble-table technique (Kodo, ISA-L,
+//     Jerasure): split every source byte into nibbles and resolve c*x
+//     through two 16-entry tables with VPSHUFB, 32 bytes per shuffle;
 //   * gfni   — GF2P8AFFINEQB: multiplication by a constant is a linear
 //     map over GF(2), so one affine instruction per 32 bytes replaces the
 //     whole nibble dance (the ISA-L modern path).
@@ -19,8 +18,9 @@
 //
 // The active tier is resolved once on first use: the best tier the build
 // and CPU both support, unless the NCFN_GF_ISA environment variable
-// ("scalar" | "ssse3" | "avx2" | "gfni") or force_tier() overrides it.
-// All tiers are bit-exact (tests assert equality across every tier).
+// ("scalar" | "avx2" | "gfni"; anything else means auto) or force_tier()
+// overrides it. All tiers are bit-exact (tests assert equality across
+// every tier).
 #pragma once
 
 #include <cstddef>
@@ -28,8 +28,9 @@
 
 namespace ncfn::gf::simd {
 
-/// Instruction-set tiers for the bulk kernels, worst to best.
-enum class Tier : int { kScalar = 0, kSsse3 = 1, kAvx2 = 2, kGfni = 3 };
+/// Instruction-set tiers for the bulk kernels, worst to best. The values
+/// are stable: benchmark rows are named after them.
+enum class Tier : int { kScalar = 0, kAvx2 = 2, kGfni = 3 };
 
 /// One tier's kernels. Raw-pointer signatures — the gf:: wrappers add the
 /// span/precondition layer. Every kernel accepts any n and handles
@@ -47,7 +48,6 @@ struct KernelTable {
   void (*muladd_x4)(std::uint8_t* dst, const std::uint8_t* const src[4],
                     const std::uint8_t c[4], std::size_t n);
   Tier tier;
-  const char* name;
 };
 
 /// The active kernel table (dispatch resolved on first call).
@@ -64,8 +64,5 @@ struct KernelTable {
 bool force_tier(Tier t) noexcept;
 /// Drop any force_tier() override; dispatch reverts to env/auto selection.
 void reset_tier() noexcept;
-
-/// True if any vector tier (SSSE3 or better) can run on this build + CPU.
-[[nodiscard]] bool available() noexcept;
 
 }  // namespace ncfn::gf::simd

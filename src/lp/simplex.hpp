@@ -57,9 +57,6 @@ class Problem {
   /// Returns the variable index.
   int add_var(double obj, double hi = kInf);
 
-  /// Replace a variable's objective coefficient.
-  void set_objective(int var, double obj) { obj_.at(static_cast<std::size_t>(var)) = obj; }
-
   /// Tighten a variable's upper bound (lower bound stays 0).
   void set_upper_bound(int var, double hi) { hi_.at(static_cast<std::size_t>(var)) = hi; }
 

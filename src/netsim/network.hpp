@@ -249,9 +249,6 @@ class Network {
   /// dropped datagram) to the bounded freelist.
   [[nodiscard]] std::vector<std::uint8_t> take_buffer();
   void recycle_buffer(std::vector<std::uint8_t>&& buf);
-  [[nodiscard]] std::size_t recycled_buffers() const {
-    return buffer_pool_.size();
-  }
 
  private:
   static constexpr std::size_t kMaxRecycledBuffers = 4096;

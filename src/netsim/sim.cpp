@@ -13,20 +13,13 @@ EventId Simulator::schedule_at(Time t, std::function<void()> fn) {
   return id;
 }
 
-bool Simulator::is_cancelled(EventId id) {
-  auto it = std::find(cancelled_.begin(), cancelled_.end(), id);
-  if (it == cancelled_.end()) return false;
-  cancelled_.erase(it);
-  return true;
-}
-
 std::size_t Simulator::run_until(Time t_end) {
   std::size_t executed = 0;
   while (!queue_.empty() && queue_.front().at <= t_end) {
     std::pop_heap(queue_.begin(), queue_.end(), later);
     Event ev = std::move(queue_.back());
     queue_.pop_back();
-    if (is_cancelled(ev.id)) continue;
+    if (!cancelled_.empty() && cancelled_.erase(ev.id) != 0) continue;
     now_ = ev.at;
     ev.fn();
     ++executed;

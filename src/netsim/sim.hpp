@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <unordered_set>
 #include <vector>
 
 namespace ncfn::netsim {
@@ -32,7 +33,8 @@ class Simulator {
 
   /// Cancel a pending event. Cancelling an already-fired or unknown id is
   /// a no-op (the common race when a timer and its cause fire together).
-  void cancel(EventId id) { cancelled_.push_back(id); }
+  /// O(1): the id becomes a tombstone that its event erases on popping.
+  void cancel(EventId id) { cancelled_.insert(id); }
 
   /// Run events until the queue drains or the clock passes `t_end`.
   /// Returns the number of events executed.
@@ -57,15 +59,13 @@ class Simulator {
     return a.id > b.id;
   }
 
-  bool is_cancelled(EventId id);
-
   Time now_ = 0;
   EventId next_id_ = 1;
   // Min-heap on (at, id) kept with std::push_heap/pop_heap rather than a
   // std::priority_queue, whose const top() would force a copy of every
   // callback (and of everything it captured) on the way out.
   std::vector<Event> queue_;
-  std::vector<EventId> cancelled_;
+  std::unordered_set<EventId> cancelled_;
 };
 
 }  // namespace ncfn::netsim

@@ -127,10 +127,6 @@ class MetricsRegistry {
     auto it = counters_.find(name);
     return it == counters_.end() ? nullptr : &it->second;
   }
-  [[nodiscard]] const Gauge* find_gauge(const std::string& name) const {
-    auto it = gauges_.find(name);
-    return it == gauges_.end() ? nullptr : &it->second;
-  }
   [[nodiscard]] const Histogram* find_histogram(
       const std::string& name) const {
     auto it = histograms_.find(name);

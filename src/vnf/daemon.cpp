@@ -185,12 +185,10 @@ void VnfDaemon::start_heartbeats(netsim::NodeId controller, netsim::Port port,
   hb_target_ = controller;
   hb_port_ = port;
   hb_interval_s_ = interval_s;
-  heartbeating_ = true;
   net_.sim().schedule(hb_interval_s_, [this] { heartbeat_round(); });
 }
 
 void VnfDaemon::heartbeat_round() {
-  if (!heartbeating_) return;
   netsim::Datagram d;
   d.src = node_;
   d.dst = hb_target_;

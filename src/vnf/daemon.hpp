@@ -86,7 +86,6 @@ class VnfDaemon {
   /// path starves the controller's liveness tracker.
   void start_heartbeats(netsim::NodeId controller, netsim::Port port,
                         double interval_s);
-  void stop_heartbeats() { heartbeating_ = false; }
 
  private:
   void on_control_datagram(const netsim::Datagram& d);
@@ -119,7 +118,6 @@ class VnfDaemon {
   double probe_interval_s_ = 600;
   ProbeReport probe_report_;
 
-  bool heartbeating_ = false;
   netsim::NodeId hb_target_ = 0;
   netsim::Port hb_port_ = 0;
   double hb_interval_s_ = 1.0;

@@ -1,8 +1,8 @@
 // Failure injection and recovery: link/node outages with fixed
-// lifetime/queue semantics, deterministic failure schedules, VNF
-// crash/restart, the controller's failure re-solve, and the end-to-end
-// acceptance scenario (mid-session link failure + VNF crash with every
-// receiver still decoding every generation, byte-verified).
+// lifetime/queue semantics, VNF crash/restart, the controller's failure
+// re-solve, and the end-to-end acceptance scenario (mid-session link
+// failure + VNF crash with every receiver still decoding every
+// generation, byte-verified).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,7 +18,6 @@
 #include "ctrl/problem.hpp"
 #include "netsim/loss.hpp"
 #include "netsim/network.hpp"
-#include "netsim/schedule.hpp"
 
 using namespace ncfn;
 using namespace ncfn::netsim;
@@ -161,49 +160,6 @@ TEST(LinkState, NodeDownSeversIncidentLinksAndLocalDelivery) {
   net.send(make_dgram(0, 1, 9, 100));
   net.sim().run();
   EXPECT_EQ(at_b, 1);
-}
-
-// ---------------------------------------------------------------------------
-// Failure schedules.
-// ---------------------------------------------------------------------------
-
-TEST(FailureSchedule, OutagesToggleTheLinkOnCue) {
-  Network net = make_two_node_net(100e6, 0.001);
-  int delivered = 0;
-  net.bind(1, 9, [&](const Datagram&) { ++delivered; });
-  apply_failure_schedule(net, *net.link(0, 1),
-                         {Outage{1.0, 1.0}, Outage{3.0, 0.5}});
-  for (double t : {0.5, 1.5, 2.5, 3.2, 4.0}) {
-    net.sim().schedule_at(t, [&] { net.send(make_dgram(0, 1, 9, 100)); });
-  }
-  net.sim().run();
-  EXPECT_EQ(delivered, 3);  // 0.5, 2.5, 4.0 fall outside the outages
-  EXPECT_EQ(net.link(0, 1)->stats().dropped_down, 2u);
-}
-
-TEST(FailureSchedule, RandomOutagesAreSeedDeterministic) {
-  const FailureSchedule a = random_outages(100.0, 10.0, 1.0, 42);
-  const FailureSchedule b = random_outages(100.0, 10.0, 1.0, 42);
-  const FailureSchedule c = random_outages(100.0, 10.0, 1.0, 43);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].at, b[i].at);
-    EXPECT_DOUBLE_EQ(a[i].duration, b[i].duration);
-  }
-  EXPECT_FALSE(a.empty());
-  bool same = a.size() == c.size();
-  for (std::size_t i = 0; same && i < a.size(); ++i) {
-    same = a[i].at == c[i].at && a[i].duration == c[i].duration;
-  }
-  EXPECT_FALSE(same);
-  // Sorted and non-overlapping within the horizon.
-  double prev_end = 0;
-  for (const Outage& o : a) {
-    EXPECT_GE(o.at, prev_end);
-    EXPECT_GT(o.duration, 0.0);
-    EXPECT_LE(o.at, 100.0);
-    prev_end = o.at + o.duration;
-  }
 }
 
 // ---------------------------------------------------------------------------

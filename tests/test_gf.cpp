@@ -156,9 +156,11 @@ TEST(Gf256Bulk, DotProduct) {
   EXPECT_EQ(gf::dot(a, b), want);
 }
 
-// ---- Kernel tiers (scalar / SSSE3 / AVX2) and runtime dispatch ----
+// ---- Kernel tiers (scalar / AVX2 / GFNI) and runtime dispatch ----
 
 #include <algorithm>
+#include <cstdlib>
+#include <string>
 
 #include "coding/encoder.hpp"
 #include "coding/generation.hpp"
@@ -168,8 +170,8 @@ namespace {
 
 std::vector<gf::simd::Tier> supported_tiers() {
   std::vector<gf::simd::Tier> tiers;
-  for (const auto t : {gf::simd::Tier::kScalar, gf::simd::Tier::kSsse3,
-                       gf::simd::Tier::kAvx2, gf::simd::Tier::kGfni}) {
+  for (const auto t : {gf::simd::Tier::kScalar, gf::simd::Tier::kAvx2,
+                       gf::simd::Tier::kGfni}) {
     if (gf::simd::tier_supported(t)) tiers.push_back(t);
   }
   return tiers;
@@ -185,10 +187,13 @@ class ForcedTier {
   ~ForcedTier() { gf::simd::reset_tier(); }
 };
 
-// Sizes straddle the 16- and 32-byte vector widths (so every tier
-// exercises its main loop, its narrower step, and its scalar tail) and the
-// wire block size; offsets force misaligned operands.
-constexpr std::size_t kDiffSizes[] = {0, 1, 15, 16, 17, 31, 32, 33, 1460};
+// Sizes straddle every loop boundary of the vector kernels — the 64-byte
+// two-stream loop, the 32-byte loop, the 16-byte step and the scalar
+// tail — so every tier enters and leaves each one; 1460 is the wire
+// block size. Offsets force misaligned operands.
+constexpr std::size_t kDiffSizes[] = {0,  1,  15,  16,  17,  31,  32,
+                                      33, 47, 48,  63,  64,  65,  95,
+                                      96, 97, 127, 128, 129, 1460};
 constexpr std::size_t kDiffOffsets[] = {0, 1, 7};
 
 std::vector<gf::u8> random_buf(std::size_t n, std::mt19937& rng) {
@@ -208,6 +213,31 @@ TEST(Gf256Tiers, EverySupportedTierIsSelectable) {
   }
   gf::simd::reset_tier();
   EXPECT_EQ(gf::simd::active_tier(), gf::simd::best_tier());
+}
+
+TEST(Gf256Tiers, EnvPinsTierAndUnknownValuesFallBack) {
+  // NCFN_GF_ISA is read whenever dispatch re-resolves: a tier name pins
+  // that tier, and any other value — a retired tier's name included —
+  // falls back to auto selection.
+  const char* outer = std::getenv("NCFN_GF_ISA");
+  const std::string saved = outer != nullptr ? outer : "";
+  const struct {
+    const char* value;
+    gf::simd::Tier want;
+  } cases[] = {{"scalar", gf::simd::Tier::kScalar},
+               {"ssse3", gf::simd::best_tier()},
+               {"bogus", gf::simd::best_tier()}};
+  for (const auto& c : cases) {
+    ASSERT_EQ(::setenv("NCFN_GF_ISA", c.value, 1), 0);
+    gf::simd::reset_tier();
+    EXPECT_EQ(gf::simd::active_tier(), c.want) << c.value;
+  }
+  ASSERT_EQ(::unsetenv("NCFN_GF_ISA"), 0);
+  gf::simd::reset_tier();
+  EXPECT_EQ(gf::simd::active_tier(), gf::simd::best_tier());
+
+  if (outer != nullptr) ::setenv("NCFN_GF_ISA", saved.c_str(), 1);
+  gf::simd::reset_tier();
 }
 
 TEST(Gf256Tiers, MulAddMatchesReferenceOnEveryTierSizeAndAlignment) {

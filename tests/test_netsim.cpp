@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <random>
+#include <vector>
 
 #include "netsim/loss.hpp"
 #include "netsim/network.hpp"
@@ -74,6 +77,74 @@ TEST(Simulator, CancelAfterFireIsNoop) {
   sim.schedule(1.0, [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 2);
+}
+
+TEST(Simulator, LongRunCancelsTimersWhileLiveEventsRun) {
+  // The retransmission-timer pattern at scale: 10^5 live events each arm
+  // a timer and cancel a random earlier one, which may still be pending
+  // or may already have fired (a no-op). Times sit on a 10 ms grid, so
+  // ties are common and the (at, id) order is exercised.
+  constexpr int kLive = 100000;
+  struct Meta {
+    Time at;
+    EventId id;
+    bool cancelled;
+  };
+  Simulator sim;
+  std::mt19937 rng(2024);
+  std::vector<Meta> meta;
+  std::vector<std::size_t> ran;
+  std::vector<std::size_t> timers;  // indices into meta, possibly fired
+  std::vector<char> fired;
+  std::size_t cancels = 0;
+  auto add = [&](Time at, std::function<void(std::size_t)> body) {
+    const std::size_t idx = meta.size();
+    meta.push_back({at, 0, false});
+    fired.push_back(0);
+    meta[idx].id = sim.schedule_at(at, [&, idx, body = std::move(body)] {
+      ran.push_back(idx);
+      fired[idx] = 1;
+      body(idx);
+    });
+  };
+  auto timer_body = [](std::size_t) {};
+  auto live_body = [&](std::size_t) {
+    const Time at = sim.now() + 0.01 * static_cast<double>(rng() % 200);
+    add(at, timer_body);
+    timers.push_back(meta.size() - 1);
+    if (timers.size() > 1) {
+      const std::size_t k = rng() % (timers.size() - 1);
+      const std::size_t victim = timers[k];
+      timers[k] = timers.back();
+      timers.pop_back();
+      sim.cancel(meta[victim].id);
+      if (fired[victim] == 0) {
+        meta[victim].cancelled = true;
+        ++cancels;
+      }
+    }
+  };
+  for (int i = 0; i < kLive; ++i) {
+    add(0.01 * static_cast<double>(rng() % 10000), live_body);
+  }
+
+  const std::size_t executed = sim.run_until(1000.0);
+
+  EXPECT_GE(meta.size(), static_cast<std::size_t>(2 * kLive));
+  EXPECT_GT(cancels, static_cast<std::size_t>(kLive / 4));
+  std::size_t live = 0;
+  for (const Meta& m : meta) live += m.cancelled ? 0 : 1;
+  EXPECT_EQ(executed, live);
+  ASSERT_EQ(ran.size(), live);
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    const Meta& m = meta[ran[i]];
+    ASSERT_FALSE(m.cancelled) << "cancelled event " << m.id << " ran";
+    if (i > 0) {
+      const Meta& prev = meta[ran[i - 1]];
+      ASSERT_TRUE(prev.at < m.at || (prev.at == m.at && prev.id < m.id))
+          << "event " << m.id << " ran out of (at, id) order";
+    }
+  }
 }
 
 TEST(Simulator, RunMovesCallbacksOutOfTheQueue) {
