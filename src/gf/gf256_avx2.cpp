@@ -30,6 +30,7 @@ struct NibbleTables {
 };
 
 struct NibbleMul {
+  using Vec = __m256i;
   static constexpr Tier kTier = Tier::kAvx2;
 
   static const NibbleTables& tables() noexcept {

@@ -1,11 +1,13 @@
-// GFNI tier: the GF2P8AFFINEQB multiply, 32 bytes per instruction.
+// GFNI tier: the GF2P8AFFINEQB multiply, 64 bytes per instruction.
 // Multiplying GF(2^8) by a constant c is a linear map over GF(2), so it
 // can be expressed as one 8x8 bit-matrix affine transform: the
 // per-coefficient matrix packs the products c*2^k column-wise, and a
 // single vgf2p8affineqb replaces the two shuffles + masking of the nibble
-// path. The loops around it are the shared body in gf256_kernels.hpp.
-// Compiled with -mavx2 -mgfni; the runtime probe in gfni_table() keeps
-// the dispatcher honest on hardware without GFNI.
+// path. The loops around it are the shared body in gf256_kernels.hpp at
+// 64 bytes, whose last 1-63 bytes take one masked block. Compiled with
+// -mavx2 -mgfni -mavx512f -mavx512bw; the runtime probe in gfni_table()
+// keeps the dispatcher honest on hardware without GFNI or AVX-512, which
+// runs the AVX2 tier instead.
 //
 // Note: GF2P8AFFINEQB's sibling GF2P8MULB multiplies in the AES field
 // (poly 0x11B), not ours (0x11D) — the affine form works for any poly
@@ -15,16 +17,18 @@
 
 namespace ncfn::gf::simd::detail {
 
-#if defined(__GFNI__) && defined(__AVX2__)
+#if defined(__GFNI__) && defined(__AVX512BW__)
 
 namespace {
 
 bool cpu_has_gfni() noexcept {
 #if defined(__GNUC__) || defined(__clang__)
+  // The avx512* probes also check that the OS saves the ZMM state.
   return __builtin_cpu_supports("gfni") != 0 &&
-         __builtin_cpu_supports("avx2") != 0;
+         __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("avx512bw") != 0;
 #else
-  return true;  // built with GFNI: assume the target can run it
+  return true;  // built with GFNI and AVX-512: assume the target can run them
 #endif
 }
 
@@ -36,6 +40,7 @@ struct AffineMatrices {
 };
 
 struct AffineMul {
+  using Vec = __m512i;
   static constexpr Tier kTier = Tier::kGfni;
 
   static const AffineMatrices& tables() noexcept {
@@ -60,17 +65,13 @@ struct AffineMul {
   }
 
   AffineMul(const AffineMatrices& am, std::uint8_t c)
-      : a(_mm256_set1_epi64x(static_cast<long long>(am.m[c]))) {}
+      : a(_mm512_set1_epi64(static_cast<long long>(am.m[c]))) {}
 
-  __m256i operator()(__m256i x) const {
-    return _mm256_gf2p8affine_epi64_epi8(x, a, 0);
+  __m512i operator()(__m512i x) const {
+    return _mm512_gf2p8affine_epi64_epi8(x, a, 0);
   }
 
-  __m128i half(__m128i x) const {
-    return _mm_gf2p8affine_epi64_epi8(x, _mm256_castsi256_si128(a), 0);
-  }
-
-  __m256i a;
+  __m512i a;
 };
 
 }  // namespace
@@ -81,7 +82,7 @@ const KernelTable* gfni_table() noexcept {
   return t;
 }
 
-#else  // !(__GFNI__ && __AVX2__)
+#else  // !(__GFNI__ && __AVX512BW__)
 
 const KernelTable* gfni_table() noexcept { return nullptr; }
 

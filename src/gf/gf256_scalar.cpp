@@ -1,5 +1,5 @@
 // Scalar tier: 256-byte product-table row walks. Baseline for the
-// ablation benches and the tail path of every vector tier. Built without
+// ablation benches and the tail path of the AVX2 tier. Built without
 // ISA-specific flags so it runs anywhere.
 #include "gf/gf256.hpp"
 #include "gf/gf256_kernels.hpp"

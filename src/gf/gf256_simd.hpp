@@ -4,13 +4,15 @@
 // (gf256_kernels.hpp) and each supplies only its multiply-by-constant:
 //
 //   * scalar — one 256-byte product-table row per coefficient (the
-//     oracle every tier must match, and the tail path of the others);
+//     oracle every tier must match, and the tail path of the avx2 tier);
 //   * avx2   — the classic nibble-table technique (Kodo, ISA-L,
 //     Jerasure): split every source byte into nibbles and resolve c*x
 //     through two 16-entry tables with VPSHUFB, 32 bytes per shuffle;
 //   * gfni   — GF2P8AFFINEQB: multiplication by a constant is a linear
-//     map over GF(2), so one affine instruction per 32 bytes replaces the
-//     whole nibble dance (the ISA-L modern path).
+//     map over GF(2), so one affine instruction per 64 bytes replaces the
+//     whole nibble dance (the ISA-L modern path), and the last 1-63
+//     bytes of a call take one masked block. Needs AVX-512F/BW next to
+//     GFNI; GFNI hosts without AVX-512 run the avx2 tier.
 //
 // Each tier also provides a fused four-row kernel (muladd_x4) that
 // accumulates four source rows per pass over dst — the ISA-L/Jerasure

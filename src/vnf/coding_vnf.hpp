@@ -76,9 +76,9 @@ struct VnfConfig {
   /// GF(2^8) bulk-op throughput of one VNF instance, bytes/second. The
   /// default models a 2016-era cloud VM core doing scalar table-driven
   /// muladd (the paper's testbed); this repo's own codec measures ~2 GB/s
-  /// scalar, ~21 GB/s AVX2 and ~34 GB/s GFNI on the bulk muladd kernel
-  /// (bench_micro_codec, 64-KiB rows), so raise this if you want to model
-  /// modern SIMD-equipped VNFs.
+  /// scalar, ~18 GB/s AVX2 and ~34 GB/s GFNI on the bulk muladd kernel
+  /// (bench_micro_codec, 64-KiB rows; ~50 GB/s GFNI on 1,460-byte rows),
+  /// so raise this if you want to model modern SIMD-equipped VNFs.
   double proc_rate_Bps = 4e8;
   /// Fixed per-packet overhead (header parse, socket, dispatch).
   double fixed_overhead_s = 5e-6;

@@ -151,7 +151,7 @@ TEST_P(RoundTrip, RandomCodedPacketsDecode) {
 TEST_P(RoundTrip, SystematicAndSparseArrivalsDecode) {
   const std::size_t g = GetParam();
   CodingParams p;
-  p.block_size = 100;  // not a multiple of the 32-byte kernel stride
+  p.block_size = 100;  // not a multiple of either vector kernel stride
   p.generation_blocks = g;
   const auto data = random_bytes(p.generation_bytes(), 29);
   Generation gen(0, data, p);

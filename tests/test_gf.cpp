@@ -187,14 +187,20 @@ class ForcedTier {
   ~ForcedTier() { gf::simd::reset_tier(); }
 };
 
-// Sizes straddle every loop boundary of the vector kernels — the 64-byte
-// two-stream loop, the 32-byte loop, the 16-byte step and the scalar
-// tail — so every tier enters and leaves each one; 1460 is the wire
-// block size. Offsets force misaligned operands.
-constexpr std::size_t kDiffSizes[] = {0,  1,  15,  16,  17,  31,  32,
-                                      33, 47, 48,  63,  64,  65,  95,
-                                      96, 97, 127, 128, 129, 1460};
+// Sizes straddle every loop boundary of both kernel widths — the
+// two-stream loop over 2W, the W loop, and the tail: a 16-byte step plus
+// the scalar walk at W = 32, one masked block at W = 64 — so every tier
+// enters and leaves each one; 1460 is the wire block size and 1492 the
+// g = 32 coded-row length. Offsets force misaligned operands.
+constexpr std::size_t kDiffSizes[] = {
+    0,   1,   15,  16,  17,  31,  32,  33,  47,  48,  63,   64,  65,
+    95,  96,  97,  127, 128, 129, 191, 192, 193, 255, 256, 257, 1460, 1492};
 constexpr std::size_t kDiffOffsets[] = {0, 1, 7};
+// Every buffer runs this many bytes past its span, and the differential
+// tests compare whole buffers, so a store past the span (a full-width
+// store at any tail) fails them. GCC's ASan does not instrument masked
+// vector stores, so a wrong tail mask would otherwise go unseen.
+constexpr std::size_t kCanary = 64;
 
 std::vector<gf::u8> random_buf(std::size_t n, std::mt19937& rng) {
   std::vector<gf::u8> out(n);
@@ -206,13 +212,17 @@ std::vector<gf::u8> random_buf(std::size_t n, std::mt19937& rng) {
 }  // namespace
 
 TEST(Gf256Tiers, EverySupportedTierIsSelectable) {
+  // reset_tier() restores whatever dispatch chose on entry — the best
+  // tier, or the one NCFN_GF_ISA pins; EnvPinsTierAndUnknownValuesFallBack
+  // covers how that choice is made.
+  const gf::simd::Tier entry = gf::simd::active_tier();
   ASSERT_TRUE(gf::simd::tier_supported(gf::simd::Tier::kScalar));
   for (const auto t : supported_tiers()) {
     ForcedTier forced(t);
     EXPECT_EQ(gf::simd::active_tier(), t);
   }
   gf::simd::reset_tier();
-  EXPECT_EQ(gf::simd::active_tier(), gf::simd::best_tier());
+  EXPECT_EQ(gf::simd::active_tier(), entry);
 }
 
 TEST(Gf256Tiers, EnvPinsTierAndUnknownValuesFallBack) {
@@ -247,15 +257,15 @@ TEST(Gf256Tiers, MulAddMatchesReferenceOnEveryTierSizeAndAlignment) {
     ForcedTier forced(tier);
     for (const std::size_t size : kDiffSizes) {
       for (const std::size_t offset : kDiffOffsets) {
-        auto dst = random_buf(size + offset, rng);
-        const auto src = random_buf(size + offset, rng);
+        auto dst = random_buf(offset + size + kCanary, rng);
+        const auto src = random_buf(offset + size + kCanary, rng);
         const auto c = static_cast<gf::u8>(d(rng));
         auto expect = dst;
         for (std::size_t i = offset; i < size + offset; ++i) {
           expect[i] ^= gf::mul(c, src[i]);
         }
-        gf::bulk_muladd(std::span<gf::u8>(dst).subspan(offset),
-                        std::span<const gf::u8>(src).subspan(offset), c);
+        gf::bulk_muladd(std::span<gf::u8>(dst).subspan(offset, size),
+                        std::span<const gf::u8>(src).subspan(offset, size), c);
         ASSERT_EQ(dst, expect)
             << gf::simd::tier_name(tier) << " size=" << size
             << " off=" << offset << " c=" << int(c);
@@ -271,18 +281,21 @@ TEST(Gf256Tiers, MulAndXorMatchReferenceOnEveryTier) {
     ForcedTier forced(tier);
     for (const std::size_t size : kDiffSizes) {
       for (const int c : {0, 1, 2, 0x53, 255}) {
-        auto v = random_buf(size, rng);
+        auto v = random_buf(size + kCanary, rng);
         auto expect = v;
-        for (auto& b : expect) b = gf::mul(static_cast<gf::u8>(c), b);
-        gf::bulk_mul(v, static_cast<gf::u8>(c));
+        for (std::size_t i = 0; i < size; ++i) {
+          expect[i] = gf::mul(static_cast<gf::u8>(c), expect[i]);
+        }
+        gf::bulk_mul(std::span<gf::u8>(v).first(size), static_cast<gf::u8>(c));
         ASSERT_EQ(v, expect)
             << gf::simd::tier_name(tier) << " size=" << size << " c=" << c;
       }
-      auto a = random_buf(size, rng);
-      const auto b = random_buf(size, rng);
+      auto a = random_buf(size + kCanary, rng);
+      const auto b = random_buf(size + kCanary, rng);
       auto expect = a;
       for (std::size_t i = 0; i < size; ++i) expect[i] ^= b[i];
-      gf::bulk_xor(a, b);
+      gf::bulk_xor(std::span<gf::u8>(a).first(size),
+                   std::span<const gf::u8>(b).first(size));
       ASSERT_EQ(a, expect) << gf::simd::tier_name(tier) << " size=" << size;
     }
   }
@@ -295,20 +308,22 @@ TEST(Gf256Tiers, FusedX4MatchesFourSingleMulAdds) {
     ForcedTier forced(tier);
     for (const std::size_t size : kDiffSizes) {
       for (const std::size_t offset : kDiffOffsets) {
-        auto fused = random_buf(size + offset, rng);
+        auto fused = random_buf(offset + size + kCanary, rng);
         auto serial = fused;
         std::vector<std::vector<gf::u8>> rows;
         const gf::u8 c4[4] = {
             static_cast<gf::u8>(d(rng)), 0,  // zero coefficient in the mix
             static_cast<gf::u8>(d(rng)), static_cast<gf::u8>(d(rng))};
-        for (int r = 0; r < 4; ++r) rows.push_back(random_buf(size + offset, rng));
+        for (int r = 0; r < 4; ++r) {
+          rows.push_back(random_buf(offset + size + kCanary, rng));
+        }
         const gf::u8* src[4] = {rows[0].data() + offset, rows[1].data() + offset,
                                 rows[2].data() + offset, rows[3].data() + offset};
-        gf::bulk_muladd_x4(std::span<gf::u8>(fused).subspan(offset), src, c4);
+        gf::bulk_muladd_x4(std::span<gf::u8>(fused).subspan(offset, size), src,
+                           c4);
         for (int r = 0; r < 4; ++r) {
-          gf::bulk_muladd(std::span<gf::u8>(serial).subspan(offset),
-                          std::span<const gf::u8>(rows[r]).subspan(offset),
-                          c4[r]);
+          gf::bulk_muladd(std::span<gf::u8>(serial).subspan(offset, size),
+                          std::span<const gf::u8>(src[r], size), c4[r]);
         }
         ASSERT_EQ(fused, serial) << gf::simd::tier_name(tier)
                                  << " size=" << size << " off=" << offset;

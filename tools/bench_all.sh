@@ -10,12 +10,19 @@
 #                           plane"
 #   BENCH_scale.json        worker scaling curve and the 10^5-receiver
 #                           aggregate (bench_scale)
+#   BENCH_e2e.json          whole ncfn-run invocations: perfbench's
+#                           butterfly and shards_traced workloads, end to
+#                           end (--trace 0) and per layer (--trace 1)
 #
 # Every file carries the same host stamp: host cores, the dispatched GF
 # tier, build type, compiler and git sha. The google-benchmark binaries
 # take it as --benchmark_context pairs; bench_scale reads cores and tier
-# itself and takes the rest as --context pairs. Numbers depend on the
-# host, so run this on a quiet one (nothing building or testing).
+# itself and takes the rest as --context pairs; each BENCH_e2e.json run
+# keeps perfbench's own stamp, its git_sha replaced by the one above
+# (perfbench records HEAD without a -dirty mark). perfbench builds its
+# own tree (.bench_build) from this checkout and is only run, never
+# edited. Numbers depend on the host, so run this on a quiet one
+# (nothing building or testing).
 #
 # Usage: tools/bench_all.sh [build-dir]
 set -eu
@@ -69,5 +76,25 @@ run_gbench bench_micro_codec micro_codec
 run_gbench bench_vnf_pps vnf_pps \
   --benchmark_min_time=1 --benchmark_repetitions=3
 
+# Each perfbench run prints its stamp line, then its result line.
+python3 - "$git_sha" >BENCH_e2e.json <<'EOF'
+import json
+import subprocess
+import sys
+
+runs = []
+for workload in ("butterfly", "shards_traced"):
+    for trace in (0, 1):
+        out = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", "1", "--seconds", "20", "--trace", str(trace)],
+            check=True, stdout=subprocess.PIPE, text=True).stdout
+        stamp, result = (json.loads(line) for line in out.splitlines()[-2:])
+        stamp["stamp"]["git_sha"] = sys.argv[1]
+        runs.append({"trace": trace, **stamp, **result})
+json.dump({"runs": runs}, sys.stdout, indent=2)
+print()
+EOF
+
 echo "bench_all.sh: wrote BENCH_micro_codec.json BENCH_vnf_pps.json" \
-  "BENCH_scale.json (gf tier $gf_tier, $host_cores cores)"
+  "BENCH_scale.json BENCH_e2e.json (gf tier $gf_tier, $host_cores cores)"

@@ -22,7 +22,7 @@ for tu in "$repo_root"/src/*/*.cpp; do
   # The gf kernels compile per-tier with ISA flags; mirror the build so
   # the analyzer sees the same preprocessed code it would ship.
   case "$tu" in
-    */src/gf/*) set -- -mavx2 -mgfni ;;
+    */src/gf/*) set -- -mavx2 -mgfni -mavx512f -mavx512bw ;;
     *) set -- ;;
   esac
   out=$("$cxx" --analyze --analyzer-output text \
