@@ -16,8 +16,8 @@ namespace {
 /// A decoder's present pivot rows and their columns, in column order;
 /// only the first n entries are set.
 struct PivotRows {
-  const std::uint8_t* rows[256];
-  std::uint16_t cols[256];
+  const std::uint8_t* rows[kMaxGenerationBlocks];
+  std::uint16_t cols[kMaxGenerationBlocks];
   std::size_t n = 0;
 };
 
@@ -32,34 +32,42 @@ PivotRows pivot_rows(const std::vector<std::optional<CodedPacket>>& pivots) {
   return piv;
 }
 
-/// The one recoding routine behind recode() and each row of
-/// recode_batch(): redraw the per-column weights `w` while every weight
-/// on a present pivot is zero, then accumulate the weighted pivot rows
-/// into `out` (zero-filled) four at a time through the fused kernel.
-void recode_row(std::mt19937& rng, const PivotRows& piv,
-                std::span<std::uint8_t> w, CodedPacket& out) {
-  while (std::none_of(piv.cols, piv.cols + piv.n,
-                      [w](std::uint16_t c) { return w[c] != 0; })) {
-    detail::fill_random_bytes(w, rng);
-  }
-  const std::uint8_t* src[4];
-  std::uint8_t c4[4];
-  int m = 0;
-  for (std::size_t i = 0; i < piv.n; ++i) {
-    const std::uint8_t c = w[piv.cols[i]];
-    if (c == 0) continue;
-    src[m] = piv.rows[i];
-    c4[m] = c;
-    if (++m == 4) {
-      gf::bulk_muladd_x4(out.row(), src, c4);
-      m = 0;
+/// The one recoding routine behind recode() and recode_batch(): draw
+/// k = out.size() rows of g per-column weights from `rng`, redraw in
+/// order each row whose weights on the present pivots are all zero, and
+/// accumulate the weighted pivot rows into the zero-filled rows `out`
+/// in one bulk_muladd_rows call. fill_random_bytes slices each 32-bit
+/// Twister word four ways and drops the rest of a partial word, so for
+/// g % 4 == 0 one k*g fill is exactly k g-byte fills; for other g the
+/// rows are filled one by one. A redraw (probability 256^-rank per row)
+/// therefore comes after all k fills, where k single calls would take
+/// it before the next row's fill.
+void recode_rows(std::mt19937& rng, const PivotRows& piv, std::size_t g,
+                 std::span<std::uint8_t* const> out, std::size_t row_bytes) {
+  const std::size_t k = out.size();
+  std::uint8_t weights[kBatchCapacity * kMaxGenerationBlocks];
+  const std::span<std::uint8_t> block(weights, k * g);
+  if (g % 4 == 0) {
+    detail::fill_random_bytes(block, rng);
+  } else {
+    for (std::size_t j = 0; j < k; ++j) {
+      detail::fill_random_bytes(block.subspan(j * g, g), rng);
     }
   }
-  for (int t = 0; t < m; ++t) {
-    gf::bulk_muladd(out.row(),
-                    std::span<const std::uint8_t>(src[t], out.row().size()),
-                    c4[t]);
+  // The weights of the present pivots, row by row: the k x piv.n
+  // coefficient matrix of the one multi-row pass.
+  std::uint8_t coeffs[kBatchCapacity * kMaxGenerationBlocks];
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::span<std::uint8_t> w = block.subspan(j * g, g);
+    while (std::none_of(piv.cols, piv.cols + piv.n,
+                        [w](std::uint16_t c) { return w[c] != 0; })) {
+      detail::fill_random_bytes(w, rng);
+    }
+    for (std::size_t t = 0; t < piv.n; ++t) {
+      coeffs[j * piv.n + t] = w[piv.cols[t]];
+    }
   }
+  gf::bulk_muladd_rows(out, {piv.rows, piv.n}, coeffs, piv.n, row_bytes);
 }
 
 }  // namespace
@@ -79,7 +87,7 @@ Decoder::Decoder(SessionId session, GenerationId generation,
                  const CodingParams& params, PacketPool pool)
     : session_(session),
       generation_(generation),
-      g_(params.generation_blocks),
+      g_(require_generation_blocks(params.generation_blocks, "Decoder")),
       block_size_(params.block_size),
       pool_(std::move(pool)),
       pivots_(g_) {}
@@ -136,23 +144,37 @@ bool Decoder::add(const CodedPacket& pkt) {
     }
   }
 
-  // Copy the arrival into a pooled working row; all elimination below is
-  // fused over the contiguous [coeffs | payload] region.
+  // Copy the arrival into a pooled working row and eliminate over its g
+  // coefficient bytes first, recording each pivot's multiplier. Once a
+  // new pivot is found, the payload takes those pivots' payloads in one
+  // bulk_muladd_rows call: a dense arrival at rank r costs ceil(r/S)
+  // payload passes (S the tier's source group, 4 to 12) instead of r,
+  // and a non-innovative one costs none. Every payload byte sums the
+  // same products as a row-at-a-time elimination, and XOR sums do not
+  // depend on their order.
   CodedPacket row;
   row.session = session_;
   row.generation = generation_;
   row.acquire(g_, block_size_, pool_);
   copy_bytes(row.row(), pkt.row());
-
-  // Forward-eliminate against existing pivots.
+  const std::span<std::uint8_t> coeffs = row.coeffs();
+  const std::uint8_t* src[kMaxGenerationBlocks];
+  std::uint8_t mult[kMaxGenerationBlocks];
+  std::size_t m = 0;
   for (std::size_t c = 0; c < g_; ++c) {
-    const std::uint8_t lead = row.coeffs()[c];
+    const std::uint8_t lead = coeffs[c];
     if (lead == 0) continue;
     if (pivots_[c].has_value()) {
-      gf::bulk_muladd(row.row(), pivots_[c]->row(), lead);
+      gf::bulk_muladd(coeffs, pivots_[c]->coeffs(), lead);
+      src[m] = pivots_[c]->payload().data();
+      mult[m] = lead;
+      ++m;
       continue;
     }
-    // New pivot at column c: normalize leading coefficient to 1.
+    // New pivot at column c: finish the payload, then normalize the
+    // leading coefficient to 1.
+    std::uint8_t* const payload = row.payload().data();
+    gf::bulk_muladd_rows({&payload, 1}, {src, m}, mult, m, block_size_);
     if (lead != 1) gf::bulk_mul(row.row(), gf::inv(lead));
     install_pivot(std::move(row), c);
     return true;
@@ -164,15 +186,12 @@ CodedPacket Decoder::recode(std::mt19937& rng) const {
   assert(rank_ >= 1);
   require_rows("recode");
   if (obs_ != nullptr) obs_->recode_ops->inc();
-  std::uint8_t weights[256];
-  assert(g_ <= sizeof(weights));
-  const std::span<std::uint8_t> w(weights, g_);
-  detail::fill_random_bytes(w, rng);
   CodedPacket out;
   out.session = session_;
   out.generation = generation_;
   out.acquire(g_, block_size_, pool_);
-  recode_row(rng, pivot_rows(pivots_), w, out);
+  std::uint8_t* const row = out.row().data();
+  recode_rows(rng, pivot_rows(pivots_), g_, {&row, 1}, g_ + block_size_);
   return out;
 }
 
@@ -180,36 +199,17 @@ void Decoder::recode_batch(std::mt19937& rng, std::size_t k,
                            PacketBatch& out) const {
   assert(rank_ >= 1);
   assert(k <= out.room());
-  assert(g_ <= 256);
   require_rows("recode_batch");
   if (k == 0) return;
   if (obs_ != nullptr) obs_->recode_ops->inc(k);
-  const PivotRows piv = pivot_rows(pivots_);
-
-  // One coefficient block for the whole batch. fill_random_bytes slices
-  // each 32-bit Twister word into four bytes and discards the remainder
-  // of a partial tail word, so a single fill of k*g bytes consumes the
-  // exact byte stream of k successive g-byte fills iff g % 4 == 0; for
-  // other g we fill row slices sequentially to keep recode_batch
-  // draw-for-draw identical to k recode() calls. (If a rejection redraw
-  // fires in recode_row — all present-pivot weights zero, probability
-  // 256^-rank — the single-fill ordering appends the redraw instead of
-  // interleaving it; k == 1 is always exactly equivalent.)
-  std::uint8_t weights[kBatchCapacity * 256];
-  const std::span<std::uint8_t> block(weights, k * g_);
-  if (g_ % 4 == 0) {
-    detail::fill_random_bytes(block, rng);
-  } else {
-    for (std::size_t j = 0; j < k; ++j) {
-      detail::fill_random_bytes(block.subspan(j * g_, g_), rng);
-    }
-  }
+  std::uint8_t* rows[kBatchCapacity];
   for (std::size_t j = 0; j < k; ++j) {
     CodedPacket& pkt = out.emplace(g_, block_size_, pool_);
     pkt.session = session_;
     pkt.generation = generation_;
-    recode_row(rng, piv, block.subspan(j * g_, g_), pkt);
+    rows[j] = pkt.row().data();
   }
+  recode_rows(rng, pivot_rows(pivots_), g_, {rows, k}, g_ + block_size_);
 }
 
 std::vector<std::vector<std::uint8_t>> Decoder::recover() const {

@@ -8,10 +8,11 @@
 // recoding, Sec. III.B.2) — both operate on the row space maintained here.
 //
 // Each stored row is one contiguous pooled [coeffs | payload] buffer
-// (a CodedPacket), so every elimination step is a single fused GF bulk op
-// across coefficients and payload, and recoding accumulates pivot rows
-// four at a time through the fused multi-row kernel. With a live pool the
-// steady state (add-eliminate-recode) performs no heap allocation.
+// (a CodedPacket). Elimination runs over the coefficients first and then
+// takes the payload in one multi-row kernel call, and recoding computes
+// a whole batch of rows from the pivot rows in another.
+// With a live pool the steady state (add-eliminate-recode) performs no
+// heap allocation.
 //
 // A destination that has delivered a generation never reads its rows
 // again, so release() hands them back to the pool and leaves a
@@ -55,8 +56,11 @@ class Decoder {
   Decoder(SessionId session, GenerationId generation,
           const CodingParams& params, PacketPool pool = {});
 
-  /// Fold one coded packet into the decoding matrix.
-  /// Returns true iff the packet was innovative (increased the rank).
+  /// Fold one coded packet into the decoding matrix: eliminate over its
+  /// coefficients, recording a multiplier per pivot used, then — only if
+  /// it is innovative — apply those pivots to its payload in one
+  /// gf::bulk_muladd_rows call. Returns true iff the packet was
+  /// innovative (increased the rank).
   bool add(const CodedPacket& pkt);
 
   [[nodiscard]] SessionId session() const { return session_; }
@@ -76,16 +80,20 @@ class Decoder {
   [[nodiscard]] std::size_t packets_innovative() const { return rank_; }
 
   /// Produce a fresh random linear combination of everything received so
-  /// far (relay recoding): one row through the same routine as each row
-  /// of recode_batch(). Precondition: rank() >= 1 and not released().
+  /// far (relay recoding): recode_batch()'s routine for one row.
+  /// Precondition: rank() >= 1 and not released().
   [[nodiscard]] CodedPacket recode(std::mt19937& rng) const;
 
   /// Batched recoding: append `k` fresh random combinations to `out`
   /// (k <= out.room()). One call draws the whole k x g coefficient block
-  /// from `rng` and walks the stored pivot set once, so the RNG, the
-  /// present-pivot scan and the obs updates amortize across the batch;
-  /// the byte stream drawn from `rng` is identical to k successive
-  /// recode() calls. Precondition: rank() >= 1 and not released().
+  /// from `rng`, scans the stored pivot set once and computes all k rows
+  /// in one gf::bulk_muladd_rows call, so the RNG, the scan, the obs
+  /// updates and every load of a pivot row amortize across the batch.
+  /// For g % 4 == 0 the bytes drawn from `rng` are those of k successive
+  /// recode() calls, with one exception: a row whose weights on the
+  /// present pivots are all zero (probability 256^-rank) is redrawn after
+  /// all k fills rather than before the next row's. Precondition:
+  /// rank() >= 1 and not released().
   void recode_batch(std::mt19937& rng, std::size_t k, PacketBatch& out) const;
 
   /// Tests only: disable the systematic (identity-coefficient) ingest

@@ -22,11 +22,10 @@ CodedPacket Encoder::encode_random() {
 void Encoder::encode_random_batch(std::size_t k, PacketBatch& out) {
   const std::size_t g = generation_->block_count();
   assert(k <= out.room());
-  assert(g <= 256);
   if (k == 0) return;
-  // One coefficient block for the whole batch (see Decoder::recode_batch
-  // for the g % 4 draw-order note).
-  std::uint8_t coeffs[kBatchCapacity * 256];
+  // One coefficient block for the whole batch (see the recode routine in
+  // decoder.cpp for the g % 4 draw-order note).
+  std::uint8_t coeffs[kBatchCapacity * kMaxGenerationBlocks];
   const std::span<std::uint8_t> block(coeffs, k * g);
   if (g % 4 == 0) {
     detail::fill_random_bytes(block, *rng_);

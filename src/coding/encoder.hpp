@@ -29,7 +29,9 @@ class Encoder {
       : session_(session),
         generation_(&generation),
         rng_(&rng),
-        pool_(std::move(pool)) {}
+        pool_(std::move(pool)) {
+    require_generation_blocks(generation.block_count(), "Encoder");
+  }
 
   /// Emit one random coded packet. The coefficient vector is redrawn if it
   /// comes out all-zero (probability 2^-8g, but correctness demands it).
@@ -38,7 +40,9 @@ class Encoder {
   /// Batched source coding: append `k` random coded packets to `out`
   /// (k <= out.room()). Draws one k x g coefficient block per call so the
   /// RNG fill amortizes across the batch; for g % 4 == 0 the draw stream
-  /// matches k successive encode_random() calls.
+  /// matches k successive encode_random() calls, except that an all-zero
+  /// row (probability 2^-8g) is redrawn after all k fills rather than
+  /// before the next row's.
   void encode_random_batch(std::size_t k, PacketBatch& out);
 
   /// Emit original block `i` as a systematic packet (unit coefficients).

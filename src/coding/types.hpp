@@ -7,7 +7,10 @@
 // session (Fig. 5 shows larger buffers gain little).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 
 namespace ncfn::coding {
 
@@ -17,6 +20,23 @@ using GenerationId = std::uint32_t;
 inline constexpr std::size_t kDefaultBlockSize = 1460;
 inline constexpr std::size_t kDefaultGenerationBlocks = 4;
 inline constexpr std::size_t kDefaultBufferGenerations = 1024;
+
+/// Largest generation the codec runs: the coefficient and pivot arrays
+/// of the encoder and decoder hot paths are sized for it. NC_SETTINGS
+/// outside [1, kMaxGenerationBlocks] is rejected where it is parsed.
+inline constexpr std::size_t kMaxGenerationBlocks = 256;
+
+/// Returns g, or aborts with a message unless 1 <= g <=
+/// kMaxGenerationBlocks; `who` names the constructor. Checked in every
+/// build type: past the bound the hot paths would overrun their stack
+/// arrays, and at 0 a recoder would redraw forever.
+inline std::size_t require_generation_blocks(std::size_t g, const char* who) {
+  if (g >= 1 && g <= kMaxGenerationBlocks) return g;
+  std::fprintf(stderr,
+               "ncfn: %s: generation of %zu blocks outside [1, %zu]\n", who,
+               g, kMaxGenerationBlocks);
+  std::abort();
+}
 
 /// Per-system coding parameters, distributed to every coding function via
 /// NC_SETTINGS at initialization (the paper assumes the same generation and

@@ -188,6 +188,8 @@ std::optional<Signal> parse_signal(const std::string& text) {
     const auto gb = num_field<std::uint32_t>(fields, "generation_blocks");
     const auto bs = num_field<std::uint32_t>(fields, "block_size");
     if (!gb || !bs) return std::nullopt;
+    // The codec runs generations of 1 to kMaxGenerationBlocks blocks.
+    if (*gb < 1 || *gb > coding::kMaxGenerationBlocks) return std::nullopt;
     s.generation_blocks = *gb;
     s.block_size = *bs;
     for (const auto& [k, v] : fields.kv) {

@@ -90,7 +90,16 @@ void bulk_muladd(std::span<u8> dst, std::span<const u8> src, u8 c) noexcept {
 void bulk_muladd_x4(std::span<u8> dst, const u8* const src[4],
                     const u8 c[4]) noexcept {
   if (dst.empty()) return;
-  simd::kernels().muladd_x4(dst.data(), src, c, dst.size());
+  u8* const d = dst.data();
+  simd::kernels().muladd_rows(&d, 1, src, 4, c, 4, dst.size());
+}
+
+void bulk_muladd_rows(std::span<u8* const> dst, std::span<const u8* const> src,
+                      const u8* c, std::size_t ldc, std::size_t n) noexcept {
+  assert(dst.size() <= 1 || ldc >= src.size());
+  if (dst.empty() || src.empty() || n == 0) return;
+  simd::kernels().muladd_rows(dst.data(), dst.size(), src.data(), src.size(),
+                              c, ldc, n);
 }
 
 u8 dot(std::span<const u8> a, std::span<const u8> b) noexcept {

@@ -73,11 +73,22 @@ void bulk_muladd(std::span<u8> dst, std::span<const u8> src, u8 c) noexcept;
 ///           ^ c[3]*src[3][i].
 /// Fused four-row accumulate: one pass over dst for four source rows
 /// (the ISA-L/Jerasure trick — ~4x less dst load/store traffic than four
-/// bulk_muladd calls). Each src[j] must point at dst.size() bytes; zero
-/// and one coefficients are handled by the product tables, so callers
-/// need not compact the rows.
+/// bulk_muladd calls); bulk_muladd_rows with one output row. Each src[j]
+/// must point at dst.size() bytes; zero and one coefficients are handled
+/// by the product tables, so callers need not compact the rows.
 void bulk_muladd_x4(std::span<u8> dst, const u8* const src[4],
                     const u8 c[4]) noexcept;
+
+/// dst[r][i] ^= sum over j of c[r*ldc + j] * src[j][i], for every output
+/// row r < dst.size() and byte i < n: k output rows from m source rows
+/// in one register-blocked pass, the multi-output dot product of ISA-L's
+/// gf_Nvect_dot_prod. Each source strip is loaded once per group of
+/// output rows and each output strip once per group of sources, instead
+/// of a pass over the sources per output row. Every row holds n bytes,
+/// and no output row may alias a source row; zero and one coefficients
+/// go through the product tables like any other.
+void bulk_muladd_rows(std::span<u8* const> dst, std::span<const u8* const> src,
+                      const u8* c, std::size_t ldc, std::size_t n) noexcept;
 
 /// Dot product sum_i a[i] * b[i] — used to combine coefficient vectors
 /// when a relay recodes already-coded packets.

@@ -42,6 +42,12 @@ struct AffineMatrices {
 struct AffineMul {
   using Vec = __m512i;
   static constexpr Tier kTier = Tier::kGfni;
+  // 32 zmm registers: 2 x 12 multipliers, 2 accumulators and the source
+  // strip. The multiply is cheap next to a load from L2, so a batch's
+  // row pairs share 512-byte column chunks of the sources in L1.
+  static constexpr std::size_t kRowGroup = 2;
+  static constexpr std::size_t kSourceGroup = 12;
+  static constexpr std::size_t kChunkStrips = 8;
 
   static const AffineMatrices& tables() noexcept {
     static const AffineMatrices tabs = [] {
@@ -64,6 +70,7 @@ struct AffineMul {
     return tabs;
   }
 
+  AffineMul() = default;
   AffineMul(const AffineMatrices& am, std::uint8_t c)
       : a(_mm512_set1_epi64(static_cast<long long>(am.m[c]))) {}
 

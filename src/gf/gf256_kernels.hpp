@@ -4,11 +4,20 @@
 // gf256.hpp / gf256_simd.hpp.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <utility>
+
 #include "gf/gf256_simd.hpp"
 
 #if defined(__AVX2__)
 #include <immintrin.h>
 #endif
+
+/// Unroll the next loop in full: the muladd_rows loops run over a
+/// pass's compile-time groups of rows and sources, and only unrolled do
+/// their row pointers, multipliers and accumulators stay in registers.
+#define NCFN_UNROLL_ALL _Pragma("GCC unroll 32")
 
 namespace ncfn::gf::simd::detail {
 
@@ -57,10 +66,10 @@ inline void store_u256(std::uint8_t* p, __m256i v) noexcept {
 // ---- Vector width -----------------------------------------------------
 //
 // Everything in the kernels that depends on the vector width W: whole-
-// vector load/store/xor, and the tail — bytes [i, n) of a call once its
-// W-byte loop is done, 0 to W-1 of them. Keyed on W rather than on the
-// vector type, because a vector type as a template argument drops its
-// attributes.
+// vector load/store/xor, and the tails — bytes [i, n) of a call (or of a
+// muladd_rows pass) once its W-byte loop is done, 0 to W-1 of them.
+// Keyed on W rather than on the vector type, because a vector type as a
+// template argument drops its attributes.
 template <std::size_t W>
 struct Lanes;
 
@@ -73,7 +82,6 @@ struct Lanes<32> {
   static __m256i vxor(__m256i a, __m256i b) noexcept {
     return _mm256_xor_si256(a, b);
   }
-  static __m256i zero() noexcept { return _mm256_setzero_si256(); }
 
   template <class Mul>
   static void muladd_tail(std::uint8_t* dst, const std::uint8_t* src,
@@ -99,23 +107,35 @@ struct Lanes<32> {
     if (i < n) scalar_table()->bxor(dst + i, src + i, n - i);
   }
 
-  template <class Mul>
-  static void muladd_x4_tail(std::uint8_t* dst,
-                             const std::uint8_t* const src[4], std::size_t i,
-                             std::size_t n, const Mul m[4],
-                             const std::uint8_t c[4]) {
+  /// The tail of one muladd_rows pass: G output rows by S source rows,
+  /// with the pass's multipliers `m`.
+  template <std::size_t G, std::size_t S, class Mul>
+  static void rows_tail(std::uint8_t* const dst[],
+                        const std::uint8_t* const src[], const Mul (&m)[G][S],
+                        const std::uint8_t* c, std::size_t ldc, std::size_t i,
+                        std::size_t n) {
     if (i + 16 <= n) {
-      __m128i acc = load_u128(dst + i);
-      for (int j = 0; j < 4; ++j) {
-        acc = _mm_xor_si128(acc, m[j].half(load_u128(src[j] + i)));
+      __m128i acc[G];
+      NCFN_UNROLL_ALL
+      for (std::size_t g = 0; g < G; ++g) acc[g] = load_u128(dst[g] + i);
+      NCFN_UNROLL_ALL
+      for (std::size_t s = 0; s < S; ++s) {
+        const __m128i x = load_u128(src[s] + i);
+        NCFN_UNROLL_ALL
+        for (std::size_t g = 0; g < G; ++g) {
+          acc[g] = _mm_xor_si128(acc[g], m[g][s].half(x));
+        }
       }
-      store_u128(dst + i, acc);
+      NCFN_UNROLL_ALL
+      for (std::size_t g = 0; g < G; ++g) store_u128(dst[g] + i, acc[g]);
       i += 16;
     }
     if (i < n) {
-      const std::uint8_t* tails[4] = {src[0] + i, src[1] + i, src[2] + i,
-                                      src[3] + i};
-      scalar_table()->muladd_x4(dst + i, tails, c, n - i);
+      std::uint8_t* d[G];
+      const std::uint8_t* x[S];
+      for (std::size_t g = 0; g < G; ++g) d[g] = dst[g] + i;
+      for (std::size_t s = 0; s < S; ++s) x[s] = src[s] + i;
+      scalar_table()->muladd_rows(d, G, x, S, c, ldc, n - i);
     }
   }
 };
@@ -135,7 +155,6 @@ struct Lanes<64> {
   static __m512i vxor(__m512i a, __m512i b) noexcept {
     return _mm512_xor_si512(a, b);
   }
-  static __m512i zero() noexcept { return _mm512_setzero_si512(); }
 
   template <class Mul>
   static void muladd_tail(std::uint8_t* dst, const std::uint8_t* src,
@@ -162,21 +181,26 @@ struct Lanes<64> {
     store_part(dst + i, k, vxor(load_part(dst + i, k), load_part(src + i, k)));
   }
 
-  template <class Mul>
-  static void muladd_x4_tail(std::uint8_t* dst,
-                             const std::uint8_t* const src[4], std::size_t i,
-                             std::size_t n, const Mul m[4],
-                             const std::uint8_t /*c*/[4]) {
+  /// The tail of one muladd_rows pass, masked: G output rows by S
+  /// source rows, with the pass's multipliers `m`.
+  template <std::size_t G, std::size_t S, class Mul>
+  static void rows_tail(std::uint8_t* const dst[],
+                        const std::uint8_t* const src[], const Mul (&m)[G][S],
+                        const std::uint8_t* /*c*/, std::size_t /*ldc*/,
+                        std::size_t i, std::size_t n) {
     if (i == n) return;
     const __mmask64 k = first_bytes(n - i);
-    // The body's block, masked: two accumulators, one per row pair.
-    __m512i acc0 = load_part(dst + i, k);
-    __m512i acc1 = zero();
-    for (int j = 0; j < 4; j += 2) {
-      acc0 = vxor(acc0, m[j](load_part(src[j] + i, k)));
-      acc1 = vxor(acc1, m[j + 1](load_part(src[j + 1] + i, k)));
+    __m512i acc[G];
+    NCFN_UNROLL_ALL
+    for (std::size_t g = 0; g < G; ++g) acc[g] = load_part(dst[g] + i, k);
+    NCFN_UNROLL_ALL
+    for (std::size_t s = 0; s < S; ++s) {
+      const __m512i x = load_part(src[s] + i, k);
+      NCFN_UNROLL_ALL
+      for (std::size_t g = 0; g < G; ++g) acc[g] = vxor(acc[g], m[g][s](x));
     }
-    store_part(dst + i, k, vxor(acc0, acc1));
+    NCFN_UNROLL_ALL
+    for (std::size_t g = 0; g < G; ++g) store_part(dst[g] + i, k, acc[g]);
   }
 
  private:
@@ -207,9 +231,16 @@ struct Lanes<64> {
 //
 //   Mul::Vec                 its vector type, W = sizeof(Vec) bytes;
 //   Mul::kTier               the tier's enum value;
+//   Mul::kRowGroup,          the output and source rows one muladd_rows
+//   Mul::kSourceGroup        pass holds: their product of multipliers,
+//                            plus the accumulators, must fit the
+//                            register file;
+//   Mul::kChunkStrips        the strips of a muladd_rows column chunk,
+//                            or 0 to take whole rows;
 //   Mul::tables()            its per-coefficient tables, resolved once
-//                            per kernel call;
-//   Mul(tables, c)           the multiplier for coefficient c;
+//                            per kernel call (or pass);
+//   Mul(tables, c)           the multiplier for coefficient c, and
+//   Mul()                    an unset one to assign later;
 //   Vec operator()(Vec)      c * x, W bytes;
 //   __m128i half(__m128i)    c * x, 16 bytes (32-byte tiers only: the
 //                            16-byte tail step).
@@ -263,31 +294,103 @@ struct VectorKernels {
     L::bxor_tail(dst, src, i, n);
   }
 
-  static void muladd_x4(std::uint8_t* dst, const std::uint8_t* const src[4],
-                        const std::uint8_t c[4], std::size_t n) {
-    const auto& tabs = Mul::tables();
-    const Mul m[4] = {{tabs, c[0]}, {tabs, c[1]}, {tabs, c[2]}, {tabs, c[3]}};
+  // ---- muladd_rows: k output rows from m source rows ----
+  //
+  // A pass takes up to G output rows and up to S source rows: it builds
+  // their G x S multipliers once, then per W-byte strip loads the G
+  // accumulators, loads each source strip once for all G rows, and
+  // stores the accumulators — every multiplier and accumulator stays in
+  // a register. G and S are the tier's register budget. A call runs one
+  // pass per (row group, source group). With more than one row group, a
+  // tier with a column chunk walks the columns in chunks of that many
+  // strips, so the source strips stay in L1 from one row group to the
+  // next.
+  static constexpr std::size_t G = Mul::kRowGroup;
+  static constexpr std::size_t S = Mul::kSourceGroup;
+
+  static void muladd_rows(std::uint8_t* const dst[], std::size_t k,
+                          const std::uint8_t* const src[], std::size_t m,
+                          const std::uint8_t* c, std::size_t ldc,
+                          std::size_t n) {
+    const std::size_t body = n - n % W;
+    const std::size_t chunk =
+        k > G && Mul::kChunkStrips > 0 ? Mul::kChunkStrips * W : body;
     std::size_t i = 0;
-    // Two accumulators, one per row pair, split the four-xor dependency
-    // chain in half; they fold together once per block.
-    for (; i + W <= n; i += W) {
-      Vec acc0 = L::load(dst + i);
-      Vec acc1 = L::zero();
-      for (int j = 0; j < 4; j += 2) {
-        acc0 = L::vxor(acc0, m[j](L::load(src[j] + i)));
-        acc1 = L::vxor(acc1, m[j + 1](L::load(src[j + 1] + i)));
+    do {
+      const std::size_t end = std::min(body, i + chunk);
+      for (std::size_t r = 0; r < k; r += G) {
+        for (std::size_t j = 0; j < m; j += S) {
+          const std::size_t g = std::min(G, k - r), s = std::min(S, m - j);
+          kPasses[(g - 1) * S + (s - 1)](dst + r, src + j, c + r * ldc + j,
+                                         ldc, i, end, n);
+        }
       }
-      L::store(dst + i, L::vxor(acc0, acc1));
-    }
-    L::muladd_x4_tail(dst, src, i, n, m, c);
+      i = end;
+    } while (i < body);
   }
+
+  /// One pass of GG <= G output rows by SS <= S source rows over the
+  /// strips [i, end); the pass that reaches the last strip also takes the
+  /// call's tail, bytes [end, n).
+  template <std::size_t GG, std::size_t SS>
+  static void rows_pass(std::uint8_t* const dst[],
+                        const std::uint8_t* const src[], const std::uint8_t* c,
+                        std::size_t ldc, std::size_t i, std::size_t end,
+                        std::size_t n) {
+    const auto& tabs = Mul::tables();
+    // Local copies of the row pointers: a byte store may alias any
+    // memory, so pointers read through dst[] and src[] would be reloaded
+    // after every store.
+    std::uint8_t* d[GG];
+    const std::uint8_t* x[SS];
+    Mul mul[GG][SS];
+    NCFN_UNROLL_ALL
+    for (std::size_t g = 0; g < GG; ++g) {
+      d[g] = dst[g];
+      NCFN_UNROLL_ALL
+      for (std::size_t s = 0; s < SS; ++s) {
+        mul[g][s] = Mul(tabs, c[g * ldc + s]);
+      }
+    }
+    NCFN_UNROLL_ALL
+    for (std::size_t s = 0; s < SS; ++s) x[s] = src[s];
+    for (; i < end; i += W) {
+      Vec acc[GG];
+      NCFN_UNROLL_ALL
+      for (std::size_t g = 0; g < GG; ++g) acc[g] = L::load(d[g] + i);
+      NCFN_UNROLL_ALL
+      for (std::size_t s = 0; s < SS; ++s) {
+        const Vec v = L::load(x[s] + i);
+        NCFN_UNROLL_ALL
+        for (std::size_t g = 0; g < GG; ++g) {
+          acc[g] = L::vxor(acc[g], mul[g][s](v));
+        }
+      }
+      NCFN_UNROLL_ALL
+      for (std::size_t g = 0; g < GG; ++g) L::store(d[g] + i, acc[g]);
+    }
+    if (n - end < W) L::rows_tail(d, x, mul, c, ldc, end, n);
+  }
+
+  using PassFn = void (*)(std::uint8_t* const[], const std::uint8_t* const[],
+                          const std::uint8_t*, std::size_t, std::size_t,
+                          std::size_t, std::size_t);
+
+  /// rows_pass for every group shape, at index (GG-1)*S + (SS-1).
+  template <std::size_t... I>
+  static constexpr std::array<PassFn, sizeof...(I)> passes(
+      std::index_sequence<I...>) {
+    return {&rows_pass<I / S + 1, I % S + 1>...};
+  }
+  static constexpr std::array<PassFn, G * S> kPasses =
+      passes(std::make_index_sequence<G * S>{});
 };
 
 /// The kernel table of the tier whose multiply is `Mul`.
 template <class Mul>
 inline constexpr KernelTable kVectorTable{
     VectorKernels<Mul>::muladd, VectorKernels<Mul>::mul,
-    VectorKernels<Mul>::bxor, VectorKernels<Mul>::muladd_x4, Mul::kTier};
+    VectorKernels<Mul>::bxor, VectorKernels<Mul>::muladd_rows, Mul::kTier};
 
 #endif  // __AVX2__
 

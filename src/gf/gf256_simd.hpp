@@ -14,9 +14,14 @@
 //     bytes of a call take one masked block. Needs AVX-512F/BW next to
 //     GFNI; GFNI hosts without AVX-512 run the avx2 tier.
 //
-// Each tier also provides a fused four-row kernel (muladd_x4) that
-// accumulates four source rows per pass over dst — the ISA-L/Jerasure
-// trick that cuts dst load/store traffic 4x on generation encodes.
+// Each tier also provides one fused multi-row kernel (muladd_rows): k
+// output rows from m source rows, the multi-output dot product of ISA-L's
+// gf_Nvect_dot_prod. A vector tier walks a group of output rows and a
+// group of source rows per pass, with the group's accumulators and
+// multipliers in registers, so every source strip is loaded once per
+// group of output rows and every output strip once per group of sources;
+// the group sizes are per-tier constants set by the register budget.
+// gf::bulk_muladd_x4 is its one-row, four-source call.
 //
 // The active tier is resolved once on first use: the best tier the build
 // and CPU both support, unless the NCFN_GF_ISA environment variable
@@ -44,11 +49,11 @@ struct KernelTable {
               std::uint8_t c);  // dst[i] = c * dst[i]
   void (*bxor)(std::uint8_t* dst, const std::uint8_t* src,
                std::size_t n);  // dst[i] ^= src[i]
-  /// dst[i] ^= c[0]*src[0][i] ^ c[1]*src[1][i] ^ c[2]*src[2][i]
-  ///           ^ c[3]*src[3][i] — four source rows fused into one pass
-  /// over dst (one dst load + store per four rows).
-  void (*muladd_x4)(std::uint8_t* dst, const std::uint8_t* const src[4],
-                    const std::uint8_t c[4], std::size_t n);
+  /// dst[r][i] ^= sum over j < m of c[r*ldc + j] * src[j][i], for r < k
+  /// and i < n — k output rows from m source rows, register-blocked.
+  void (*muladd_rows)(std::uint8_t* const dst[], std::size_t k,
+                      const std::uint8_t* const src[], std::size_t m,
+                      const std::uint8_t* c, std::size_t ldc, std::size_t n);
   Tier tier;
 };
 

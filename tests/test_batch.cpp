@@ -15,6 +15,7 @@
 //     payloads from the same deployment plan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <random>
@@ -29,6 +30,7 @@
 #include "coding/encoder.hpp"
 #include "coding/generation.hpp"
 #include "coding/pool.hpp"
+#include "coding/rng_fill.hpp"
 #include "ctrl/problem.hpp"
 #include "obs/audit.hpp"
 
@@ -144,29 +146,61 @@ TEST(Batch, PartialBatchPassesAuditedTeardown) {
 TEST(Batch, RecodeBatchMatchesSequentialDrawOrder) {
   // One k*g coefficient fill must reproduce k sequential per-packet
   // fills (g % 4 == 0 word-slicing; see rng_fill.hpp), so a batched
-  // recoder is a drop-in for a per-packet one under the same seed.
+  // recoder is a drop-in for a per-packet one under the same seed — at
+  // every batch width, and at rank 1, at rank 7 with spread-out pivot
+  // columns and at full rank. The one documented exception: a row whose
+  // weights on the present pivots are all zero is redrawn after all k
+  // fills, so the two streams part from the first such row on; the test
+  // replays the fill to find it.
   coding::CodingParams p;
   p.generation_blocks = 32;
   p.block_size = 128;
+  const std::size_t g = p.generation_blocks;
   const auto data = random_bytes(p.generation_bytes(), 21);
   coding::Generation gen(0, data, p);
   auto pool = coding::PacketPool::make();
   std::mt19937 enc_rng(22);
   coding::Encoder enc(1, gen, enc_rng, pool);
-  coding::Decoder relay(1, 0, p, pool);
-  for (std::size_t i = 0; i < p.generation_blocks; ++i) {
-    relay.add(enc.encode_random());
-  }
-  ASSERT_TRUE(relay.complete());
 
-  std::mt19937 rng_a(7);
-  std::mt19937 rng_b(7);
-  coding::PacketBatch batch;
-  relay.recode_batch(rng_a, 8, batch);
-  ASSERT_EQ(batch.size(), 8u);
-  for (std::size_t j = 0; j < 8; ++j) {
-    const auto single = relay.recode(rng_b);
-    EXPECT_EQ(batch[j].serialize(), single.serialize()) << "packet " << j;
+  std::vector<std::size_t> all(g);
+  for (std::size_t c = 0; c < g; ++c) all[c] = c;
+  const std::vector<std::vector<std::size_t>> pivot_sets = {
+      {5}, {1, 3, 4, 9, 17, 22, 30}, all};
+  for (const auto& pivots : pivot_sets) {
+    // Row i: zero before its pivot column, a nonzero lead there, dense
+    // after; arriving in column order, each installs its own pivot.
+    coding::Decoder relay(1, 0, p, pool);
+    for (const std::size_t lead : pivots) {
+      std::vector<std::uint8_t> coeffs(g, 0);
+      coeffs[lead] = static_cast<std::uint8_t>(1 + enc_rng() % 255);
+      for (std::size_t c = lead + 1; c < g; ++c) {
+        coeffs[c] = static_cast<std::uint8_t>(enc_rng());
+      }
+      ASSERT_TRUE(relay.add(enc.encode_with(coeffs)));
+    }
+    ASSERT_EQ(relay.rank(), pivots.size());
+    for (const std::size_t k : {1, 2, 5, 8, 32}) {
+      const auto seed = static_cast<std::uint32_t>(7 + k + pivots.size());
+      std::mt19937 probe(seed);
+      std::vector<std::uint8_t> w(k * g);
+      coding::detail::fill_random_bytes(w, probe);
+      std::size_t same = 0;  // rows before the first redraw
+      while (same < k && std::any_of(pivots.begin(), pivots.end(),
+                                     [&](std::size_t c) {
+                                       return w[same * g + c] != 0;
+                                     })) {
+        ++same;
+      }
+      std::mt19937 rng_a(seed);
+      std::mt19937 rng_b(seed);
+      coding::PacketBatch batch;
+      relay.recode_batch(rng_a, k, batch);
+      ASSERT_EQ(batch.size(), k);
+      for (std::size_t j = 0; j < same; ++j) {
+        EXPECT_EQ(batch[j].serialize(), relay.recode(rng_b).serialize())
+            << "rank " << pivots.size() << " k=" << k << " packet " << j;
+      }
+    }
   }
 }
 

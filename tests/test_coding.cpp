@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <random>
+#include <string>
 
 #include "coding/batch.hpp"
 #include "coding/buffer.hpp"
@@ -13,6 +15,7 @@
 #include "coding/generation.hpp"
 #include "coding/generic_codec.hpp"
 #include "coding/packet.hpp"
+#include "golden_file.hpp"
 
 using namespace ncfn;
 using namespace ncfn::coding;
@@ -351,6 +354,33 @@ TEST(DecoderDeathTest, ReleasedDecoderRefusesToRecodeOrRecover) {
                "Decoder::recode_batch on released");
 }
 
+TEST(DecoderDeathTest, GenerationSizeOutsideTheBoundAborts) {
+  // Checked in every build type: past kMaxGenerationBlocks the recode
+  // and elimination paths would overrun their stack arrays, and at 0 a
+  // recoder would redraw forever.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const std::size_t g : {std::size_t{0}, kMaxGenerationBlocks + 1,
+                              std::size_t{300}}) {
+    CodingParams p;
+    p.block_size = 16;
+    p.generation_blocks = g;
+    EXPECT_DEATH(Decoder(1, 0, p), "Decoder: generation of [0-9]+ blocks "
+                                   "outside \\[1, 256\\]")
+        << g;
+    const std::vector<std::uint8_t> data(16 * g + 1, 7);
+    Generation gen(0, data, p);
+    std::mt19937 rng(1);
+    EXPECT_DEATH(Encoder(1, gen, rng), "Encoder: generation of [0-9]+ "
+                                       "blocks outside \\[1, 256\\]")
+        << g;
+  }
+  CodingParams p;
+  p.block_size = 16;
+  p.generation_blocks = kMaxGenerationBlocks;
+  Decoder dec(1, 0, p);
+  EXPECT_EQ(dec.block_count(), kMaxGenerationBlocks);
+}
+
 TEST(Buffer, CreatesAndFindsState) {
   CodingParams p;
   GenerationBuffer buf(p);
@@ -466,3 +496,156 @@ void generic_roundtrip() {
 TEST(GenericCodec, RoundTripGf16) { generic_roundtrip<4>(); }
 TEST(GenericCodec, RoundTripGf256) { generic_roundtrip<8>(); }
 TEST(GenericCodec, RoundTripGf65536) { generic_roundtrip<16>(); }
+
+// ---- Golden codec bytes ----
+//
+// Every byte the codec emits, pinned as one FNV-1a digest line per stage
+// in tests/golden/codec_bytes.txt, for g in {4, 32, 128} and blocks of
+// 100 and 1460 bytes: the encoder's systematic and random packets,
+// recode_batch at k in {1, 5, 32} from a relay at rank 1, at a partial
+// rank with non-contiguous pivot columns and at full rank, and a sink fed
+// those packets (its add() verdicts, its own recode and recover()). The
+// relays and the sink reach their rows through add()'s general
+// elimination, so the recode digests pin the eliminated rows byte for
+// byte. GF(2^8) arithmetic is exact and the draws are fixed: a kernel,
+// elimination-order or batching change must leave every line alone.
+// Regenerate only for an intended output change:
+//   NCFN_UPDATE_GOLDEN=1 ./build/tests/test_coding
+
+namespace {
+
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void bytes(std::span<const std::uint8_t> b) {
+    for (const std::uint8_t x : b) h = (h ^ x) * 0x100000001b3ULL;
+  }
+  void packet(const CodedPacket& p) { bytes(p.serialize()); }
+  void batch(const PacketBatch& b) {
+    for (std::size_t i = 0; i < b.size(); ++i) packet(b[i]);
+  }
+};
+
+std::string codec_golden_lines(std::size_t g, std::size_t block) {
+  CodingParams p;
+  p.generation_blocks = g;
+  p.block_size = block;
+  const auto data =
+      random_bytes(p.generation_bytes(), static_cast<std::uint32_t>(g + block));
+  Generation gen(0, data, p);
+  auto pool = PacketPool::make();
+  std::mt19937 rng(static_cast<std::uint32_t>(1000 * g + block));
+  Encoder enc(1, gen, rng, pool);
+
+  std::string out;
+  const auto line = [&](const std::string& stage, const Fnv1a& d) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf, "g=%zu block=%zu %s fnv1a=%016llx\n", g,
+                  block, stage.c_str(), static_cast<unsigned long long>(d.h));
+    out += buf;
+  };
+
+  Fnv1a systematic;
+  for (std::size_t i = 0; i < g; ++i) {
+    systematic.packet(enc.encode_systematic(i));
+  }
+  line("encode systematic", systematic);
+  std::vector<CodedPacket> random;
+  Fnv1a dense;
+  for (std::size_t i = 0; i < g + 4; ++i) {
+    random.push_back(enc.encode_random());
+    dense.packet(random.back());
+  }
+  line("encode random", dense);
+  {
+    PacketBatch b;
+    enc.encode_random_batch(5, b);
+    Fnv1a d;
+    d.batch(b);
+    line("encode random_batch k=5", d);
+  }
+
+  // Relays at rank 1, at a partial rank whose pivot columns are spread
+  // out (row i: zeros before column (2i+1)g/2r, a nonzero lead there
+  // that is rarely 1, dense after), and at full rank.
+  Decoder rank1(1, 0, p, pool);
+  rank1.add(random[0]);
+  const std::size_t r = std::min<std::size_t>(7, g / 2);
+  Decoder partial(1, 0, p, pool);
+  for (std::size_t i = 0; i < r; ++i) {
+    std::vector<std::uint8_t> coeffs(g, 0);
+    const std::size_t lead = (2 * i + 1) * g / (2 * r);
+    coeffs[lead] = static_cast<std::uint8_t>(1 + rng() % 255);
+    for (std::size_t c = lead + 1; c < g; ++c) {
+      coeffs[c] = static_cast<std::uint8_t>(rng());
+    }
+    partial.add(enc.encode_with(coeffs));
+  }
+  Decoder full(1, 0, p, pool);
+  for (const CodedPacket& pkt : random) full.add(pkt);
+  if (partial.rank() != r || !full.complete()) return "relay setup failed\n";
+
+  std::vector<CodedPacket> recoded;
+  const struct {
+    const char* name;
+    const Decoder* relay;
+  } relays[] = {{"rank=1", &rank1}, {"rank=partial", &partial},
+                {"rank=full", &full}};
+  for (const auto& relay : relays) {
+    Fnv1a single;
+    recoded.push_back(relay.relay->recode(rng));
+    single.packet(recoded.back());
+    line(std::string("recode ") + relay.name + " single", single);
+    for (const std::size_t k : {1, 5, 32}) {
+      PacketBatch b;
+      relay.relay->recode_batch(rng, k, b);
+      Fnv1a d;
+      d.batch(b);
+      line(std::string("recode ") + relay.name + " k=" + std::to_string(k),
+           d);
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        recoded.push_back(CodedPacket::make(1, 0, b[i].coeffs(),
+                                            b[i].payload(), pool));
+      }
+    }
+  }
+
+  // The sink eliminates the recoded packets (many non-innovative at small
+  // g), then the encoder's random packets until it is complete.
+  Decoder sink(1, 0, p, pool);
+  std::vector<std::uint8_t> verdicts;
+  for (const CodedPacket& pkt : recoded) verdicts.push_back(sink.add(pkt));
+  for (const CodedPacket& pkt : random) {
+    if (sink.complete()) break;
+    verdicts.push_back(sink.add(pkt));
+  }
+  if (!sink.complete()) return "sink incomplete\n";
+  Fnv1a adds;
+  adds.bytes(verdicts);
+  line("sink add verdicts", adds);
+  {
+    PacketBatch b;
+    sink.recode_batch(rng, 5, b);
+    Fnv1a d;
+    d.batch(b);
+    line("sink recode k=5", d);
+  }
+  Fnv1a recovered;
+  for (const auto& blk : sink.recover()) recovered.bytes(blk);
+  line("sink recover", recovered);
+  Fnv1a source;
+  source.bytes(data);
+  line("source", source);
+  return out;
+}
+
+}  // namespace
+
+TEST(CodecGolden, OutputBytesAcrossSizesRanksAndBatchWidths) {
+  std::string all;
+  for (const std::size_t g : {4, 32, 128}) {
+    for (const std::size_t block : {100, 1460}) {
+      all += codec_golden_lines(g, block);
+    }
+  }
+  ncfn::golden::check_golden("codec_bytes.txt", all);
+}

@@ -332,6 +332,56 @@ TEST(Gf256Tiers, FusedX4MatchesFourSingleMulAdds) {
   }
 }
 
+TEST(Gf256Tiers, MulAddRowsMatchesScalarOracleOnEveryTierAndShape) {
+  // Every length, output-row count k and source count m around the
+  // tiers' row and source groups (2 x 12 on gfni, 1 x 4 on avx2), with
+  // zero and one coefficients in every call and, for odd k, a row stride
+  // past m. The oracle is the scalar tier, one source at a time.
+  std::mt19937 rng(16);
+  std::uniform_int_distribution<int> d(0, 255);
+  for (const std::size_t size : kDiffSizes) {
+    std::vector<std::vector<gf::u8>> srcs, outs;
+    for (int j = 0; j < 33; ++j) {
+      srcs.push_back(random_buf(size + kCanary, rng));
+    }
+    for (int r = 0; r < 32; ++r) {
+      outs.push_back(random_buf(size + kCanary, rng));
+    }
+    std::vector<const gf::u8*> sp;
+    for (const auto& row : srcs) sp.push_back(row.data());
+    for (const std::size_t k : {1, 2, 3, 4, 5, 8, 9, 32}) {
+      for (std::size_t m = 1; m <= 33; ++m) {
+        const std::size_t ldc = m + (k % 2) * 3;
+        std::vector<gf::u8> c(k * ldc);
+        for (auto& x : c) x = static_cast<gf::u8>(d(rng));
+        c[0] = 0;
+        c[(k - 1) * ldc + m - 1] = 1;
+        std::vector<std::vector<gf::u8>> want(outs.begin(), outs.begin() + k);
+        {
+          ForcedTier scalar(gf::simd::Tier::kScalar);
+          for (std::size_t r = 0; r < k; ++r) {
+            for (std::size_t j = 0; j < m; ++j) {
+              gf::bulk_muladd(std::span<gf::u8>(want[r]).first(size),
+                              std::span<const gf::u8>(srcs[j]).first(size),
+                              c[r * ldc + j]);
+            }
+          }
+        }
+        for (const auto tier : supported_tiers()) {
+          ForcedTier forced(tier);
+          std::vector<std::vector<gf::u8>> got(outs.begin(), outs.begin() + k);
+          std::vector<gf::u8*> dp;
+          for (auto& row : got) dp.push_back(row.data());
+          gf::bulk_muladd_rows(dp, std::span<const gf::u8* const>(sp).first(m),
+                               c.data(), ldc, size);
+          ASSERT_EQ(got, want) << gf::simd::tier_name(tier) << " size=" << size
+                               << " k=" << k << " m=" << m;
+        }
+      }
+    }
+  }
+}
+
 TEST(Gf256Tiers, AllTiersEncodeByteIdenticalPackets) {
   // The dispatch proof: forcing each tier and encoding the same generation
   // with the same coefficients must give byte-identical wire packets.

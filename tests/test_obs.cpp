@@ -31,6 +31,7 @@
 #include "netsim/loss.hpp"
 #include "netsim/network.hpp"
 #include "netsim/tcp.hpp"
+#include "golden_file.hpp"
 #include "obs/obs.hpp"
 
 namespace {
@@ -379,35 +380,7 @@ TEST(TraceDeterminism, DifferentSeedsDiverge) {
   EXPECT_NE(a.trace, b.trace);
 }
 
-void check_golden(const std::string& name, const std::string& actual) {
-  const std::string path =
-      std::string(NCFN_SOURCE_DIR) + "/tests/golden/" + name;
-  if (std::getenv("NCFN_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.is_open()) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.is_open())
-      << path << " missing — run NCFN_UPDATE_GOLDEN=1 ./tests/test_obs";
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string expected = ss.str();
-  // EXPECT_EQ on multi-MB strings produces unreadable failures; compare
-  // prefix-wise and report the first diverging line instead.
-  if (actual == expected) return;
-  std::size_t line = 1, pos = 0;
-  const std::size_t n = std::min(actual.size(), expected.size());
-  while (pos < n && actual[pos] == expected[pos]) {
-    if (actual[pos] == '\n') ++line;
-    ++pos;
-  }
-  FAIL() << name << " diverges from golden at line " << line
-         << " (byte " << pos << "; " << actual.size() << " vs "
-         << expected.size() << " bytes). Intentional change? Regenerate "
-         << "with NCFN_UPDATE_GOLDEN=1 and commit the diff.";
-}
+using ncfn::golden::check_golden;
 
 TEST(GoldenTrace, Quickstart) {
   check_golden("trace_quickstart.jsonl", run_quickstart(1).trace);

@@ -149,6 +149,21 @@ TEST(SignalNegative, RejectsSettingsSessionLineAnomalies) {
   EXPECT_EQ(std::get<ctrl::NcSettings>(*ok).sessions.size(), 1u);
 }
 
+TEST(SignalNegative, RejectsGenerationBlocksOutsideTheCodecBound) {
+  // The codec runs generations of 1 to kMaxGenerationBlocks blocks; a
+  // settings signal outside that range is refused where it is parsed.
+  const auto settings = [](const std::string& g) {
+    return ctrl::parse_signal("NC_SETTINGS\ngeneration_blocks " + g +
+                              "\nblock_size 1460\nEND\n");
+  };
+  for (const char* bad : {"0", "257", "300", "4294967295"}) {
+    EXPECT_FALSE(settings(bad).has_value()) << bad;
+  }
+  for (const char* good : {"1", "32", "256"}) {
+    EXPECT_TRUE(settings(good).has_value()) << good;
+  }
+}
+
 // ---- Scenario files ---------------------------------------------------
 
 TEST(ScenarioNegative, RejectsNumericGarbageWithDiagnostics) {
