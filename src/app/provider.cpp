@@ -32,8 +32,10 @@ coding::Generation BufferProvider::generation(coding::GenerationId id) const {
   const std::size_t off = static_cast<std::size_t>(id) * gb;
   assert(off < data_.size());
   const std::size_t n = std::min(gb, data_.size() - off);
-  return coding::Generation(
-      id, std::span<const std::uint8_t>(data_).subspan(off, n), params_);
+  const auto first = data_.begin() + static_cast<std::ptrdiff_t>(off);
+  std::vector<std::uint8_t> bytes(first,
+                                  first + static_cast<std::ptrdiff_t>(n));
+  return coding::Generation(id, std::move(bytes), params_);
 }
 
 coding::GenerationId SyntheticProvider::generation_count() const {
@@ -76,8 +78,7 @@ std::vector<std::uint8_t> SyntheticProvider::generation_bytes(
 
 coding::Generation SyntheticProvider::generation(
     coding::GenerationId id) const {
-  const auto bytes = generation_bytes(id);
-  return coding::Generation(id, bytes, params_);
+  return coding::Generation(id, generation_bytes(id), params_);
 }
 
 }  // namespace ncfn::app

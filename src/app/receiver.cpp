@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace ncfn::app {
 
@@ -162,20 +163,17 @@ void McReceiver::on_generation_decoded(
     m_payload_bytes_->inc(n);
   }
 
+  // Both the check and the reassembly take each block's unpadded bytes,
+  // the first n of the generation, a block at a time.
   if (verify_ != nullptr) {
     const auto expected = verify_->generation_bytes(gen);
-    std::size_t i = 0;
     bool ok = expected.size() == n;
+    std::size_t off = 0;
     for (const auto& blk : blocks) {
-      for (std::uint8_t b : blk) {
-        if (i >= n) break;
-        if (b != expected[i]) {
-          ok = false;
-          break;
-        }
-        ++i;
-      }
-      if (!ok) break;
+      if (!ok || off == n) break;
+      const std::size_t len = std::min(blk.size(), n - off);
+      ok = std::memcmp(blk.data(), expected.data() + off, len) == 0;
+      off += len;
     }
     if (!ok) {
       ++stats_.verify_failures;
@@ -184,14 +182,12 @@ void McReceiver::on_generation_decoded(
   }
 
   if (ordered_sink_) {
-    // Flatten the blocks to the generation's unpadded bytes.
     std::vector<std::uint8_t> bytes;
     bytes.reserve(n);
     for (const auto& blk : blocks) {
-      for (std::uint8_t b : blk) {
-        if (bytes.size() >= n) break;
-        bytes.push_back(b);
-      }
+      const std::size_t len = std::min(blk.size(), n - bytes.size());
+      bytes.insert(bytes.end(), blk.begin(),
+                   blk.begin() + static_cast<std::ptrdiff_t>(len));
     }
     held_back_[gen] = std::move(bytes);
     while (true) {

@@ -71,9 +71,6 @@ class McReceiver {
   [[nodiscard]] bool complete() const { return stats_.completed_at >= 0; }
   /// Average goodput since start (Mbps).
   [[nodiscard]] double goodput_mbps() const;
-  [[nodiscard]] const std::vector<ThroughputSample>& samples() const {
-    return samples_;
-  }
   /// Goodput over the trailing window ending at the latest sample (Mbps).
   [[nodiscard]] double windowed_goodput_mbps(double window_s) const;
 

@@ -85,22 +85,58 @@ vnf::CodingVnf* SimNet::find_vnf(graph::NodeIdx node) {
   return it == vnfs_.end() ? nullptr : it->second.get();
 }
 
-namespace {
-
-double min_session_goodput(
-    const std::vector<std::unique_ptr<McReceiver>>& receivers) {
-  double mn = std::numeric_limits<double>::infinity();
-  for (const auto& r : receivers) mn = std::min(mn, r->goodput_mbps());
-  return receivers.empty() ? 0.0 : mn;
+void MulticastSession::add_source(SimNet& sim, const ctrl::SessionSpec& spec,
+                                  const GenerationProvider& provider,
+                                  const SessionWiring& wiring, int redundancy,
+                                  double lambda_mbps) {
+  SourceConfig scfg;
+  scfg.session = spec.id;
+  scfg.params = wiring.vnf.params;
+  scfg.redundancy = redundancy;
+  scfg.lambda_mbps = std::max(lambda_mbps, 1e-3);
+  scfg.data_port = ctrl::session_data_port(spec.id);
+  scfg.feedback_port = session_feedback_port(spec.id);
+  scfg.seed = wiring.seed;
+  source_ = std::make_unique<McSource>(sim.net(), sim.node(spec.source),
+                                       provider, scfg);
 }
 
-bool all_receivers_complete(
-    const std::vector<std::unique_ptr<McReceiver>>& receivers) {
-  return std::all_of(receivers.begin(), receivers.end(),
+void MulticastSession::add_receivers(SimNet& sim,
+                                     const ctrl::SessionSpec& spec,
+                                     const GenerationProvider& provider,
+                                     const SessionWiring& wiring) {
+  for (graph::NodeIdx r : spec.receivers) {
+    ReceiverConfig rcfg;
+    rcfg.session = spec.id;
+    rcfg.params = wiring.vnf.params;
+    rcfg.data_port = ctrl::session_data_port(spec.id);
+    rcfg.source_node = static_cast<std::uint32_t>(sim.node(spec.source));
+    rcfg.source_feedback_port = session_feedback_port(spec.id);
+    rcfg.enable_repair = wiring.enable_repair;
+    rcfg.repair_timeout_s = wiring.repair_timeout_s;
+    rcfg.sample_interval_s = wiring.sample_interval_s;
+    rcfg.vnf = wiring.vnf;
+    rcfg.vnf.seed = wiring.seed + static_cast<std::uint32_t>(r) * 733u + 5;
+    receivers_.push_back(std::make_unique<McReceiver>(
+        sim.net(), sim.node(r), provider, rcfg));
+  }
+}
+
+void MulticastSession::start() {
+  for (auto& r : receivers_) r->start();
+  source_->start();
+}
+
+double MulticastSession::session_goodput_mbps() const {
+  double mn = std::numeric_limits<double>::infinity();
+  for (const auto& r : receivers_) mn = std::min(mn, r->goodput_mbps());
+  return receivers_.empty() ? 0.0 : mn;
+}
+
+bool MulticastSession::all_complete() const {
+  return std::all_of(receivers_.begin(), receivers_.end(),
                      [](const auto& r) { return r->complete(); });
 }
-
-}  // namespace
 
 ctrl::DeploymentPlan NcMulticastSession::prepared(
     const ctrl::DeploymentPlan& raw_plan) const {
@@ -191,40 +227,11 @@ NcMulticastSession::NcMulticastSession(SimNet& sim,
                                        const SessionWiring& wiring)
     : sim_(&sim), spec_(spec), wiring_(wiring) {
   const ctrl::DeploymentPlan plan = prepared(raw_plan);
-  const netsim::Port data_port = ctrl::session_data_port(spec.id);
-  const netsim::Port fb_port = session_feedback_port(spec.id);
-
-  // ---- Source ----
-  SourceConfig scfg;
-  scfg.session = spec.id;
-  scfg.params = wiring.vnf.params;
-  scfg.redundancy = wiring.redundancy;
-  scfg.lambda_mbps = std::max(plan.lambda_mbps.at(m), 1e-3);
-  scfg.data_port = data_port;
-  scfg.feedback_port = fb_port;
-  scfg.seed = wiring.seed;
-  source_ = std::make_unique<McSource>(sim.net(), sim.node(spec.source),
-                                       provider, scfg);
+  add_source(sim, spec, provider, wiring, wiring.redundancy,
+             plan.lambda_mbps.at(m));
   source_->configure_hops(source_hops(plan, m));
-
   wire_relays(plan, m);
-
-  // ---- Receivers ----
-  for (graph::NodeIdx r : spec.receivers) {
-    ReceiverConfig rcfg;
-    rcfg.session = spec.id;
-    rcfg.params = wiring.vnf.params;
-    rcfg.data_port = data_port;
-    rcfg.source_node = static_cast<std::uint32_t>(sim.node(spec.source));
-    rcfg.source_feedback_port = fb_port;
-    rcfg.enable_repair = wiring.enable_repair;
-    rcfg.repair_timeout_s = wiring.repair_timeout_s;
-    rcfg.sample_interval_s = wiring.sample_interval_s;
-    rcfg.vnf = wiring.vnf;
-    rcfg.vnf.seed = wiring.seed + static_cast<std::uint32_t>(r) * 733u + 5;
-    receivers_.push_back(std::make_unique<McReceiver>(
-        sim.net(), sim.node(r), provider, rcfg));
-  }
+  add_receivers(sim, spec, provider, wiring);
 }
 
 void NcMulticastSession::rewire(const ctrl::DeploymentPlan& raw_plan,
@@ -236,19 +243,6 @@ void NcMulticastSession::rewire(const ctrl::DeploymentPlan& raw_plan,
   for (auto& r : receivers_) r->mark_disruption();
 }
 
-void NcMulticastSession::start() {
-  for (auto& r : receivers_) r->start();
-  source_->start();
-}
-
-double NcMulticastSession::session_goodput_mbps() const {
-  return min_session_goodput(receivers_);
-}
-
-bool NcMulticastSession::all_complete() const {
-  return all_receivers_complete(receivers_);
-}
-
 TreeMulticastSession::TreeMulticastSession(SimNet& sim,
                                            const TreePacking& packing,
                                            const ctrl::SessionSpec& spec,
@@ -256,21 +250,11 @@ TreeMulticastSession::TreeMulticastSession(SimNet& sim,
                                            const SessionWiring& wiring) {
   const graph::Topology& topo = sim.topo();
   const netsim::Port data_port = ctrl::session_data_port(spec.id);
-  const netsim::Port fb_port = session_feedback_port(spec.id);
 
   double total_rate = 0.0;
   for (const MulticastTree& t : packing.trees) total_rate += t.rate_mbps;
-
-  SourceConfig scfg;
-  scfg.session = spec.id;
-  scfg.params = wiring.vnf.params;
-  scfg.redundancy = 0;  // routing-only: no coded redundancy
-  scfg.lambda_mbps = std::max(total_rate, 1e-3);
-  scfg.data_port = data_port;
-  scfg.feedback_port = fb_port;
-  scfg.seed = wiring.seed;
-  source_ = std::make_unique<McSource>(sim.net(), sim.node(spec.source),
-                                       provider, scfg);
+  // Routing only: no coded redundancy.
+  add_source(sim, spec, provider, wiring, 0, total_rate);
   source_->configure_trees(topo, packing.trees);
 
   // Relays: every interior node with out-edges in some tree.
@@ -298,35 +282,7 @@ TreeMulticastSession::TreeMulticastSession(SimNet& sim,
     }
     relay.set_tree_routing(spec.id, std::move(routing));
   }
-
-  for (graph::NodeIdx r : spec.receivers) {
-    ReceiverConfig rcfg;
-    rcfg.session = spec.id;
-    rcfg.params = wiring.vnf.params;
-    rcfg.data_port = data_port;
-    rcfg.source_node = static_cast<std::uint32_t>(sim.node(spec.source));
-    rcfg.source_feedback_port = fb_port;
-    rcfg.enable_repair = wiring.enable_repair;
-    rcfg.repair_timeout_s = wiring.repair_timeout_s;
-    rcfg.sample_interval_s = wiring.sample_interval_s;
-    rcfg.vnf = wiring.vnf;
-    rcfg.vnf.seed = wiring.seed + static_cast<std::uint32_t>(r) * 733u + 5;
-    receivers_.push_back(std::make_unique<McReceiver>(
-        sim.net(), sim.node(r), provider, rcfg));
-  }
-}
-
-void TreeMulticastSession::start() {
-  for (auto& r : receivers_) r->start();
-  source_->start();
-}
-
-double TreeMulticastSession::session_goodput_mbps() const {
-  return min_session_goodput(receivers_);
-}
-
-bool TreeMulticastSession::all_complete() const {
-  return all_receivers_complete(receivers_);
+  add_receivers(sim, spec, provider, wiring);
 }
 
 }  // namespace ncfn::app

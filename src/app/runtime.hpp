@@ -92,15 +92,44 @@ struct SessionWiring {
   std::uint32_t seed = 99;
 };
 
+/// What every multicast session has, whichever way it carries its
+/// packets: one source and its receivers, wired from the spec.
+class MulticastSession {
+ public:
+  void start();
+
+  [[nodiscard]] McSource& source() { return *source_; }
+  [[nodiscard]] McReceiver& receiver(std::size_t k) { return *receivers_.at(k); }
+  [[nodiscard]] std::size_t receiver_count() const { return receivers_.size(); }
+  /// Session goodput = min over receivers (the paper's multicast rate).
+  [[nodiscard]] double session_goodput_mbps() const;
+  [[nodiscard]] bool all_complete() const;
+
+ protected:
+  MulticastSession() = default;
+
+  /// Build the source at spec.source, pacing at `lambda_mbps` (floored
+  /// at 1e-3) with `redundancy` extra packets per generation.
+  void add_source(SimNet& sim, const ctrl::SessionSpec& spec,
+                  const GenerationProvider& provider,
+                  const SessionWiring& wiring, int redundancy,
+                  double lambda_mbps);
+  /// Build one receiver, with its own decode function, per spec receiver.
+  void add_receivers(SimNet& sim, const ctrl::SessionSpec& spec,
+                     const GenerationProvider& provider,
+                     const SessionWiring& wiring);
+
+  std::unique_ptr<McSource> source_;
+  std::vector<std::unique_ptr<McReceiver>> receivers_;
+};
+
 /// A network-coded multicast session instantiated from a deployment plan.
-class NcMulticastSession {
+class NcMulticastSession : public MulticastSession {
  public:
   NcMulticastSession(SimNet& sim, const ctrl::DeploymentPlan& plan,
                      std::size_t plan_index, const ctrl::SessionSpec& spec,
                      const GenerationProvider& provider,
                      const SessionWiring& wiring);
-
-  void start();
 
   /// Re-wire the *live* session onto a new deployment plan (the
   /// controller's re-solve after a failure): the source is re-steered onto
@@ -109,13 +138,6 @@ class NcMulticastSession {
   /// receiver's recovery clock starts (mark_disruption). Generation
   /// progress is preserved — the transfer continues, it does not restart.
   void rewire(const ctrl::DeploymentPlan& raw_plan, std::size_t plan_index);
-
-  [[nodiscard]] McSource& source() { return *source_; }
-  [[nodiscard]] McReceiver& receiver(std::size_t k) { return *receivers_.at(k); }
-  [[nodiscard]] std::size_t receiver_count() const { return receivers_.size(); }
-  /// Session goodput = min over receivers (the paper's multicast rate).
-  [[nodiscard]] double session_goodput_mbps() const;
-  [[nodiscard]] bool all_complete() const;
 
  private:
   [[nodiscard]] ctrl::DeploymentPlan prepared(
@@ -128,29 +150,15 @@ class NcMulticastSession {
   ctrl::SessionSpec spec_;
   SessionWiring wiring_;
   std::set<graph::NodeIdx> relays_;  // nodes currently forwarding/recoding
-  std::unique_ptr<McSource> source_;
-  std::vector<std::unique_ptr<McReceiver>> receivers_;
 };
 
 /// A routing-only (Non-NC) session over packed multicast trees.
-class TreeMulticastSession {
+class TreeMulticastSession : public MulticastSession {
  public:
   TreeMulticastSession(SimNet& sim, const TreePacking& packing,
                        const ctrl::SessionSpec& spec,
                        const GenerationProvider& provider,
                        const SessionWiring& wiring);
-
-  void start();
-
-  [[nodiscard]] McSource& source() { return *source_; }
-  [[nodiscard]] McReceiver& receiver(std::size_t k) { return *receivers_.at(k); }
-  [[nodiscard]] std::size_t receiver_count() const { return receivers_.size(); }
-  [[nodiscard]] double session_goodput_mbps() const;
-  [[nodiscard]] bool all_complete() const;
-
- private:
-  std::unique_ptr<McSource> source_;
-  std::vector<std::unique_ptr<McReceiver>> receivers_;
 };
 
 /// Feedback port for a session's source.

@@ -8,7 +8,7 @@
 namespace ncfn::app {
 
 namespace {
-constexpr std::size_t kEncoderCacheLimit = 8;
+constexpr std::size_t kGenerationCacheLimit = 8;
 }
 
 McSource::McSource(netsim::Network& net, netsim::NodeId node,
@@ -150,21 +150,20 @@ bool McSource::data_exhausted() const {
   return true;
 }
 
-void McSource::ensure_encoder(coding::GenerationId gen) {
-  if (encoders_.count(gen) > 0) return;
-  auto generation = std::make_unique<coding::Generation>(
-      provider_.generation(gen));
-  auto encoder = std::make_unique<coding::Encoder>(cfg_.session, *generation,
-                                                   rng_, pool_);
-  encoders_[gen] = {std::move(generation), std::move(encoder)};
-  // Keep the cache small; evict the oldest generations — but never the one
-  // just materialized (a repair for an old generation would otherwise be
-  // evicted before use, since old ids sort first).
-  while (encoders_.size() > kEncoderCacheLimit) {
-    auto victim = encoders_.begin();
-    if (victim->first == gen) ++victim;
-    encoders_.erase(victim);
+coding::Encoder McSource::encoder(coding::GenerationId gen) {
+  auto it = generations_.find(gen);
+  if (it == generations_.end()) {
+    it = generations_.emplace(gen, provider_.generation(gen)).first;
+    // Keep the cache small; evict the oldest generations — but never the
+    // one just materialized (a repair for an old generation would
+    // otherwise be evicted before use, since old ids sort first).
+    while (generations_.size() > kGenerationCacheLimit) {
+      auto victim = generations_.begin();
+      if (victim == it) ++victim;
+      generations_.erase(victim);
+    }
   }
+  return coding::Encoder(cfg_.session, it->second, rng_, pool_);
 }
 
 void McSource::send_packet(Pacer& p, const coding::CodedPacket& pkt,
@@ -199,27 +198,25 @@ void McSource::pacer_tick(std::size_t idx) {
     Feedback fb = p.repair_queue.front();
     p.repair_queue.pop_front();
     if (fb.generation < provider_.generation_count()) {
-      ensure_encoder(fb.generation);
-      auto& [generation, encoder] = encoders_.at(fb.generation);
+      coding::Encoder enc = encoder(fb.generation);
       if (tree_mode_ && fb.block_mask != 0) {
         // Retransmit a specific original block.
         const auto bit = static_cast<std::size_t>(
             std::countr_zero(fb.block_mask));
         if (bit < cfg_.params.generation_blocks) {
-          send_packet(p, encoder->encode_systematic(bit), /*repair=*/true);
+          send_packet(p, enc.encode_systematic(bit), /*repair=*/true);
           emitted = true;
         }
       } else {
-        send_packet(p, encoder->encode_random(), /*repair=*/true);
+        send_packet(p, enc.encode_random(), /*repair=*/true);
         emitted = true;
       }
     }
   } else if (!stopped_) {
     if (tree_mode_) {
       if (p.tree_cursor < provider_.generation_count()) {
-        ensure_encoder(p.tree_cursor);
-        auto& [generation, encoder] = encoders_.at(p.tree_cursor);
-        send_packet(p, encoder->encode_systematic(p.block_cursor),
+        send_packet(p,
+                    encoder(p.tree_cursor).encode_systematic(p.block_cursor),
                     /*repair=*/false);
         emitted = true;
         if (p.tree_cursor == 0) {
@@ -253,9 +250,8 @@ void McSource::pacer_tick(std::size_t idx) {
         }
       }
       if (p.remaining > 0 && p.gen_cursor < provider_.generation_count()) {
-        ensure_encoder(p.gen_cursor);
-        auto& [generation, encoder] = encoders_.at(p.gen_cursor);
-        send_packet(p, encoder->encode_random(), /*repair=*/false);
+        send_packet(p, encoder(p.gen_cursor).encode_random(),
+                    /*repair=*/false);
         emitted = true;
         if (--p.remaining == 0) ++p.gen_cursor;
         if (first_gen_sent_at_ < 0) {

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <random>
 #include <vector>
 
@@ -88,9 +87,6 @@ class McSource {
 
   [[nodiscard]] bool data_exhausted() const;
   [[nodiscard]] const SourceStats& stats() const { return stats_; }
-  [[nodiscard]] netsim::Time first_generation_sent_at() const {
-    return first_gen_sent_at_;
-  }
 
  private:
   struct Pacer {
@@ -117,7 +113,8 @@ class McSource {
   /// scheduled before a reconfigure_hops() must not touch rebuilt pacers.
   void schedule_tick(std::size_t idx, double delay_s);
   void send_packet(Pacer& p, const coding::CodedPacket& pkt, bool repair);
-  void ensure_encoder(coding::GenerationId gen);
+  /// An encoder over generation `gen`, materialized on first use.
+  [[nodiscard]] coding::Encoder encoder(coding::GenerationId gen);
 
   netsim::Network& net_;
   netsim::NodeId node_;
@@ -134,12 +131,9 @@ class McSource {
   std::vector<Pacer> pacers_;
   std::uint64_t pacer_epoch_ = 0;  // bumped when pacers_ is rebuilt live
 
-  // Lazily-built encoder for the generation being emitted (LRU of 2: the
-  // clock generation and whatever repair is being served).
-  std::map<coding::GenerationId,
-           std::pair<std::unique_ptr<coding::Generation>,
-                     std::unique_ptr<coding::Encoder>>>
-      encoders_;
+  // Generations being emitted, materialized on first use: the clock
+  // generations and whatever repairs are being served.
+  std::map<coding::GenerationId, coding::Generation> generations_;
 
   bool started_ = false;
   bool stopped_ = false;

@@ -1,6 +1,5 @@
 #include "coding/decoder.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -33,38 +32,21 @@ PivotRows pivot_rows(const std::vector<std::optional<CodedPacket>>& pivots) {
 }
 
 /// The one recoding routine behind recode() and recode_batch(): draw
-/// k = out.size() rows of g per-column weights from `rng`, redraw in
-/// order each row whose weights on the present pivots are all zero, and
-/// accumulate the weighted pivot rows into the zero-filled rows `out`
-/// in one bulk_muladd_rows call. fill_random_bytes slices each 32-bit
-/// Twister word four ways and drops the rest of a partial word, so for
-/// g % 4 == 0 one k*g fill is exactly k g-byte fills; for other g the
-/// rows are filled one by one. A redraw (probability 256^-rank per row)
-/// therefore comes after all k fills, where k single calls would take
-/// it before the next row's fill.
+/// k = out.size() rows of g per-column weights from `rng` with the
+/// encoder's draw rule over the present pivot columns, and accumulate
+/// the weighted pivot rows into the zero-filled rows `out` in one
+/// bulk_muladd_rows call.
 void recode_rows(std::mt19937& rng, const PivotRows& piv, std::size_t g,
                  std::span<std::uint8_t* const> out, std::size_t row_bytes) {
   const std::size_t k = out.size();
   std::uint8_t weights[kBatchCapacity * kMaxGenerationBlocks];
-  const std::span<std::uint8_t> block(weights, k * g);
-  if (g % 4 == 0) {
-    detail::fill_random_bytes(block, rng);
-  } else {
-    for (std::size_t j = 0; j < k; ++j) {
-      detail::fill_random_bytes(block.subspan(j * g, g), rng);
-    }
-  }
+  detail::draw_weights({weights, k * g}, g, {piv.cols, piv.n}, rng);
   // The weights of the present pivots, row by row: the k x piv.n
   // coefficient matrix of the one multi-row pass.
   std::uint8_t coeffs[kBatchCapacity * kMaxGenerationBlocks];
   for (std::size_t j = 0; j < k; ++j) {
-    const std::span<std::uint8_t> w = block.subspan(j * g, g);
-    while (std::none_of(piv.cols, piv.cols + piv.n,
-                        [w](std::uint16_t c) { return w[c] != 0; })) {
-      detail::fill_random_bytes(w, rng);
-    }
     for (std::size_t t = 0; t < piv.n; ++t) {
-      coeffs[j * piv.n + t] = w[piv.cols[t]];
+      coeffs[j * piv.n + t] = weights[j * g + piv.cols[t]];
     }
   }
   gf::bulk_muladd_rows(out, {piv.rows, piv.n}, coeffs, piv.n, row_bytes);
@@ -126,24 +108,6 @@ bool Decoder::add(const CodedPacket& pkt) {
   if (obs_ != nullptr) obs_->packets_seen->inc();
   if (complete()) return false;
 
-  // Systematic fast path: an identity-coefficient arrival whose column
-  // has no pivot yet is already a fully-reduced unit row (every
-  // coefficient past the pivot is zero), so elimination cannot change it
-  // — copy it straight into place. When the column is occupied the
-  // general path below reduces it as usual.
-  if (systematic_fastpath_) {
-    if (const auto idx = pkt.systematic_index();
-        idx.has_value() && !pivots_[*idx].has_value()) {
-      CodedPacket row;
-      row.session = session_;
-      row.generation = generation_;
-      row.acquire(g_, block_size_, pool_);
-      copy_bytes(row.row(), pkt.row());
-      install_pivot(std::move(row), *idx);
-      return true;
-    }
-  }
-
   // Copy the arrival into a pooled working row and eliminate over its g
   // coefficient bytes first, recording each pivot's multiplier. Once a
   // new pivot is found, the payload takes those pivots' payloads in one
@@ -183,7 +147,6 @@ bool Decoder::add(const CodedPacket& pkt) {
 }
 
 CodedPacket Decoder::recode(std::mt19937& rng) const {
-  assert(rank_ >= 1);
   require_rows("recode");
   if (obs_ != nullptr) obs_->recode_ops->inc();
   CodedPacket out;
@@ -197,7 +160,6 @@ CodedPacket Decoder::recode(std::mt19937& rng) const {
 
 void Decoder::recode_batch(std::mt19937& rng, std::size_t k,
                            PacketBatch& out) const {
-  assert(rank_ >= 1);
   assert(k <= out.room());
   require_rows("recode_batch");
   if (k == 0) return;
@@ -216,28 +178,22 @@ std::vector<std::vector<std::uint8_t>> Decoder::recover() const {
   assert(complete());
   require_rows("recover");
   std::vector<std::vector<std::uint8_t>> blocks(g_);
+  const std::uint8_t* src[kMaxGenerationBlocks];
+  std::uint8_t mult[kMaxGenerationBlocks];
   for (std::size_t c = g_; c-- > 0;) {
     const CodedPacket& pivot = *pivots_[c];
     const auto payload = pivot.payload();
     blocks[c].assign(payload.begin(), payload.end());
-    const std::span<std::uint8_t> dst(blocks[c]);
     const auto coeffs = pivot.coeffs();
-    const std::uint8_t* src[4];
-    std::uint8_t c4[4];
-    int k = 0;
+    std::size_t m = 0;
     for (std::size_t j = c + 1; j < g_; ++j) {
       if (coeffs[j] == 0) continue;
-      src[k] = blocks[j].data();
-      c4[k] = coeffs[j];
-      if (++k == 4) {
-        gf::bulk_muladd_x4(dst, src, c4);
-        k = 0;
-      }
+      src[m] = blocks[j].data();
+      mult[m] = coeffs[j];
+      ++m;
     }
-    for (int t = 0; t < k; ++t) {
-      gf::bulk_muladd(dst, std::span<const std::uint8_t>(src[t], dst.size()),
-                      c4[t]);
-    }
+    std::uint8_t* const dst = blocks[c].data();
+    gf::bulk_muladd_rows({&dst, 1}, {src, m}, mult, m, block_size_);
   }
   return blocks;
 }

@@ -81,33 +81,29 @@ class Decoder {
 
   /// Produce a fresh random linear combination of everything received so
   /// far (relay recoding): recode_batch()'s routine for one row.
-  /// Precondition: rank() >= 1 and not released().
+  /// Precondition: not released(); at rank() 0 it aborts, as no weights
+  /// can combine nothing.
   [[nodiscard]] CodedPacket recode(std::mt19937& rng) const;
 
   /// Batched recoding: append `k` fresh random combinations to `out`
   /// (k <= out.room()). One call draws the whole k x g coefficient block
-  /// from `rng`, scans the stored pivot set once and computes all k rows
-  /// in one gf::bulk_muladd_rows call, so the RNG, the scan, the obs
-  /// updates and every load of a pivot row amortize across the batch.
-  /// For g % 4 == 0 the bytes drawn from `rng` are those of k successive
-  /// recode() calls, with one exception: a row whose weights on the
-  /// present pivots are all zero (probability 256^-rank) is redrawn after
-  /// all k fills rather than before the next row's. Precondition:
-  /// rank() >= 1 and not released().
+  /// from `rng` with the encoder's draw rule (detail::draw_weights), scans
+  /// the stored pivot set once and computes all k rows in one
+  /// gf::bulk_muladd_rows call, so the RNG, the scan, the obs updates and
+  /// every load of a pivot row amortize across the batch. At every g the
+  /// bytes drawn from `rng` are those of k successive recode() calls,
+  /// with one exception: a row whose weights on the present pivots are
+  /// all zero (probability 256^-rank) is redrawn after all k fills rather
+  /// than before the next row's. Precondition: as for recode().
   void recode_batch(std::mt19937& rng, std::size_t k, PacketBatch& out) const;
-
-  /// Tests only: disable the systematic (identity-coefficient) ingest
-  /// fast path so differential suites can compare it against the general
-  /// elimination path.
-  void set_systematic_fastpath(bool on) { systematic_fastpath_ = on; }
 
   /// Recover the original blocks by back-substitution over the payloads:
   /// block c = payload of pivot c + sum over j > c of coeff(c, j) * block
   /// j, built from the last column down straight into the returned
-  /// vectors, four earlier blocks per fused pass. The pivot rows are
-  /// upper triangular with a unit diagonal, so this is the same answer as
-  /// reducing the rows to the identity first; sums in GF(2^8) are XORs,
-  /// so the order of the terms does not matter.
+  /// vectors, one bulk_muladd_rows call per block over its nonzero later
+  /// blocks. The pivot rows are upper triangular with a unit diagonal, so
+  /// this is the same answer as reducing the rows to the identity first;
+  /// sums in GF(2^8) are XORs, so the order of the terms does not matter.
   /// Precondition: complete() and not released().
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> recover() const;
 
@@ -137,7 +133,6 @@ class Decoder {
   std::size_t seen_ = 0;
   PacketPool pool_;
   const CodingObs* obs_ = nullptr;
-  bool systematic_fastpath_ = true;
   bool released_ = false;
   // pivots_[c]: contiguous [coeffs | payload] row with leading 1 at column c
   std::vector<std::optional<CodedPacket>> pivots_;

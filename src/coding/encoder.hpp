@@ -8,9 +8,10 @@
 // bench suite compares against fully-random encoding.
 //
 // Hot-path shape: packets come from the (optional) PacketPool, so the
-// steady state allocates nothing, and the payload accumulation drives the
-// fused four-row muladd kernel — one pass over the output block per four
-// source blocks instead of one per block.
+// steady state allocates nothing, the weights come from the one draw
+// rule relays recode with (detail::draw_weights), and the payloads of a
+// call — one packet or a batch — are summed in one gf::bulk_muladd_rows
+// call over the generation's blocks.
 #pragma once
 
 #include <random>
@@ -29,9 +30,7 @@ class Encoder {
       : session_(session),
         generation_(&generation),
         rng_(&rng),
-        pool_(std::move(pool)) {
-    require_generation_blocks(generation.block_count(), "Encoder");
-  }
+        pool_(std::move(pool)) {}
 
   /// Emit one random coded packet. The coefficient vector is redrawn if it
   /// comes out all-zero (probability 2^-8g, but correctness demands it).
@@ -39,8 +38,8 @@ class Encoder {
 
   /// Batched source coding: append `k` random coded packets to `out`
   /// (k <= out.room()). Draws one k x g coefficient block per call so the
-  /// RNG fill amortizes across the batch; for g % 4 == 0 the draw stream
-  /// matches k successive encode_random() calls, except that an all-zero
+  /// RNG fill amortizes across the batch; the draw stream matches k
+  /// successive encode_random() calls at every g, except that an all-zero
   /// row (probability 2^-8g) is redrawn after all k fills rather than
   /// before the next row's.
   void encode_random_batch(std::size_t k, PacketBatch& out);
@@ -53,13 +52,12 @@ class Encoder {
       std::span<const std::uint8_t> coeffs) const;
 
  private:
-  /// The one random-coding routine behind encode_random() and each row of
-  /// encode_random_batch(): redraw pkt's freshly drawn coefficients while
-  /// they are all zero, then encode the payload.
-  void encode_drawn(CodedPacket& pkt);
-  /// Accumulate sum_i coeffs[i] * block(i) into pkt's (zeroed) payload,
-  /// four source rows per fused kernel pass.
-  void encode_payload(CodedPacket& pkt) const;
+  /// A zero-filled packet of this session and generation.
+  [[nodiscard]] CodedPacket blank() const;
+  /// Add sum_i weights[r*g + i] * block(i) into each zeroed payload
+  /// rows[r], in one bulk_muladd_rows call.
+  void encode_payloads(std::span<std::uint8_t* const> rows,
+                       const std::uint8_t* weights) const;
 
   SessionId session_;
   const Generation* generation_;

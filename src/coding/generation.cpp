@@ -1,40 +1,20 @@
 #include "coding/generation.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace ncfn::coding {
 
-Generation::Generation(GenerationId id, std::span<const std::uint8_t> data,
+Generation::Generation(GenerationId id, std::vector<std::uint8_t> bytes,
                        const CodingParams& params)
-    : id_(id), block_size_(params.block_size), payload_bytes_(data.size()) {
-  assert(!data.empty());
-  assert(data.size() <= params.generation_bytes());
-  blocks_.resize(params.generation_blocks);
-  std::size_t off = 0;
-  for (auto& blk : blocks_) {
-    blk.assign(block_size_, 0);
-    if (off < data.size()) {
-      const std::size_t n = std::min(block_size_, data.size() - off);
-      std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(off), n,
-                  blk.begin());
-      off += n;
-    }
-  }
-}
-
-std::vector<Generation> split_into_generations(
-    std::span<const std::uint8_t> data, const CodingParams& params,
-    GenerationId first_id) {
-  std::vector<Generation> out;
-  const std::size_t gen_bytes = params.generation_bytes();
-  out.reserve((data.size() + gen_bytes - 1) / gen_bytes);
-  GenerationId id = first_id;
-  for (std::size_t off = 0; off < data.size(); off += gen_bytes) {
-    const std::size_t n = std::min(gen_bytes, data.size() - off);
-    out.emplace_back(id++, data.subspan(off, n), params);
-  }
-  return out;
+    : id_(id),
+      blocks_(require_generation_blocks(params.generation_blocks,
+                                        "Generation")),
+      block_size_(params.block_size),
+      payload_bytes_(bytes.size()),
+      bytes_(std::move(bytes)) {
+  assert(payload_bytes_ > 0);
+  assert(payload_bytes_ <= params.generation_bytes());
+  bytes_.resize(blocks_ * block_size_);
 }
 
 }  // namespace ncfn::coding

@@ -54,15 +54,4 @@ std::optional<CodedPacket> CodedPacket::parse(
   return pkt;
 }
 
-std::optional<std::size_t> CodedPacket::systematic_index() const {
-  std::optional<std::size_t> idx;
-  const auto cs = coeffs();
-  for (std::size_t i = 0; i < cs.size(); ++i) {
-    if (cs[i] == 0) continue;
-    if (cs[i] != 1 || idx.has_value()) return std::nullopt;
-    idx = i;
-  }
-  return idx;
-}
-
 }  // namespace ncfn::coding

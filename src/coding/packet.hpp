@@ -90,10 +90,6 @@ struct CodedPacket {
   /// Wire size of this packet.
   [[nodiscard]] std::size_t wire_size() const { return 8 + buf_.size(); }
 
-  /// True if the coefficient vector is a unit vector (systematic packet
-  /// carrying original block `i`); returns the index if so.
-  [[nodiscard]] std::optional<std::size_t> systematic_index() const;
-
  private:
   PooledBuf buf_;           // [coeffs | payload], pool-recycled
   std::uint32_t g_ = 0;     // split point: number of coefficients

@@ -172,10 +172,6 @@ void Controller::apply_plan(DeploymentPlan next, double now_s) {
   plan_ = std::move(next);
 }
 
-void Controller::resolve_all(double now_s) {
-  apply_plan(solve_with(SolveOptions{}), now_s);
-}
-
 // ---------------- Alg. 3: session / receiver churn ----------------
 
 bool Controller::add_session(const SessionSpec& spec, double now_s) {

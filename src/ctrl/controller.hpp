@@ -145,10 +145,6 @@ class Controller {
   /// "ctrl.signals_emitted.<KIND>" and recorded in the event trace.
   void set_obs(obs::Observability* obs) { obs_ = obs; }
 
-  /// Force a full re-solve of (2) from scratch (initial deployment or
-  /// evaluation sweeps).
-  void resolve_all(double now_s);
-
  private:
   struct VnfPool {
     int running = 0;

@@ -3,10 +3,10 @@
 // The paper (Sec. III.B.1) follows the practice of Chou et al. and Airlift
 // and fixes the field to GF(2^8), "observed to enable the maximum throughput
 // among all field sizes".  This module provides scalar field operations plus
-// the bulk buffer kernels the codec hot path runs on: for each coded block
-// the encoder computes dst += c * src over 1460-byte payloads, so
-// bulk_muladd() is the single most performance-critical routine in the
-// data plane.
+// the bulk buffer kernels the codec hot path runs on: each coded block is
+// a sum of c * src over 1460-byte payloads, so bulk_muladd_rows(), which
+// the encoder, the recoder and the decoder all run those sums through, is
+// the most performance-critical routine in the data plane.
 //
 // Representation: polynomial basis over the AES/Rijndael-compatible
 // primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D).  Multiplication
@@ -66,7 +66,7 @@ void bulk_xor(std::span<u8> dst, std::span<const u8> src) noexcept;
 /// dst[i] = c * dst[i].
 void bulk_mul(std::span<u8> dst, u8 c) noexcept;
 
-/// dst[i] ^= c * src[i].  The generation-encode inner loop.
+/// dst[i] ^= c * src[i].  The decoder's coefficient elimination step.
 void bulk_muladd(std::span<u8> dst, std::span<const u8> src, u8 c) noexcept;
 
 /// dst[i] ^= c[0]*src[0][i] ^ c[1]*src[1][i] ^ c[2]*src[2][i]
@@ -75,7 +75,8 @@ void bulk_muladd(std::span<u8> dst, std::span<const u8> src, u8 c) noexcept;
 /// (the ISA-L/Jerasure trick — ~4x less dst load/store traffic than four
 /// bulk_muladd calls); bulk_muladd_rows with one output row. Each src[j]
 /// must point at dst.size() bytes; zero and one coefficients are handled
-/// by the product tables, so callers need not compact the rows.
+/// by the product tables, so callers need not compact the rows. No
+/// caller in src: the codec makes one bulk_muladd_rows call instead.
 void bulk_muladd_x4(std::span<u8> dst, const u8* const src[4],
                     const u8 c[4]) noexcept;
 
@@ -90,8 +91,8 @@ void bulk_muladd_x4(std::span<u8> dst, const u8* const src[4],
 void bulk_muladd_rows(std::span<u8* const> dst, std::span<const u8* const> src,
                       const u8* c, std::size_t ldc, std::size_t n) noexcept;
 
-/// Dot product sum_i a[i] * b[i] — used to combine coefficient vectors
-/// when a relay recodes already-coded packets.
+/// Dot product sum_i a[i] * b[i]. No caller in src: a relay combines
+/// whole [coeffs | payload] rows with bulk_muladd_rows instead.
 [[nodiscard]] u8 dot(std::span<const u8> a, std::span<const u8> b) noexcept;
 
 }  // namespace ncfn::gf

@@ -175,6 +175,14 @@ void CodingVnf::on_burst(std::span<netsim::Datagram> burst) {
     auto pkt =
         coding::CodedPacket::parse(d.payload, cfg_.params, buffer_.pool());
     if (!pkt) continue;  // not an NC packet for our parameters
+    // An all-zero coefficient vector carries nothing, and no encoder or
+    // recoder emits one; a recoder holding only such rows would have no
+    // pivot to recode from.
+    const auto cs = pkt->coeffs();
+    if (std::all_of(cs.begin(), cs.end(),
+                    [](std::uint8_t c) { return c == 0; })) {
+      continue;
+    }
     // A burst is overwhelmingly one session's packets back to back; cache
     // the last hit so only the first packet of a run pays the map walk.
     if (cached_state_ == nullptr || cached_session_ != pkt->session) {

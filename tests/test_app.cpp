@@ -1,12 +1,17 @@
 // Tests for the application layer: data providers, feedback messages,
-// the routing-only tree-packing baseline, and source pacing.
+// the routing-only tree-packing baseline, source pacing, and receiver
+// verification and reassembly.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "app/baseline.hpp"
 #include "app/messages.hpp"
 #include "app/provider.hpp"
+#include "app/receiver.hpp"
 #include "app/scenarios.hpp"
 #include "app/source.hpp"
+#include "coding/encoder.hpp"
 
 using namespace ncfn;
 using namespace ncfn::app;
@@ -259,4 +264,74 @@ TEST(Source, ServesRepairRequests) {
   EXPECT_EQ(packets, before + 3);
   EXPECT_EQ(src.stats().repair_requests, 1u);
   EXPECT_EQ(src.stats().repair_packets_sent, 3u);
+}
+
+// ---- Receiver verify and reassembly ----
+
+TEST(Receiver, VerifyComparesOnlyUnpaddedBytes) {
+  netsim::Network net(1);
+  const auto s = net.add_node("src");
+  const auto d = net.add_node("dst");
+  netsim::LinkConfig lc;
+  lc.capacity_bps = 1e9;
+  lc.prop_delay = 0.001;
+  net.add_duplex_link(s, d, lc);
+
+  coding::CodingParams params;
+  params.block_size = 16;
+  params.generation_blocks = 4;
+  // Generation 2 is short: 20 bytes, so block 1 holds 4 bytes and 12 of
+  // padding, and blocks 2 and 3 are all padding.
+  SyntheticProvider provider(3, 2 * params.generation_bytes() + 20, params);
+  ReceiverConfig cfg;
+  cfg.params = params;
+  cfg.data_port = 9000;
+  cfg.source_node = s;
+  cfg.enable_repair = false;
+  McReceiver rx(net, d, provider, cfg);
+  rx.set_verify(&provider);
+  std::map<coding::GenerationId, std::vector<std::uint8_t>> delivered;
+  rx.set_ordered_sink(
+      [&](coding::GenerationId gen, std::vector<std::uint8_t> bytes) {
+        delivered[gen] = std::move(bytes);
+      });
+  rx.start();
+
+  // Send generation `gen` as its systematic blocks, with byte `byte` of
+  // block `blk` flipped when blk < g.
+  std::mt19937 rng(1);
+  const auto send = [&](coding::GenerationId gen, std::size_t blk,
+                        std::size_t byte) {
+    const coding::Generation source = provider.generation(gen);
+    coding::Encoder enc(cfg.session, source, rng);
+    for (std::size_t i = 0; i < params.generation_blocks; ++i) {
+      coding::CodedPacket pkt = enc.encode_systematic(i);
+      if (i == blk) pkt.payload()[byte] ^= 0x01;
+      netsim::Datagram dg;
+      dg.src = s;
+      dg.dst = d;
+      dg.dst_port = cfg.data_port;
+      dg.payload = pkt.serialize();
+      ASSERT_TRUE(net.send(std::move(dg)));
+    }
+    net.sim().run();
+  };
+
+  send(0, 3, 15);  // the last unpadded byte of a full generation
+  EXPECT_EQ(rx.stats().verify_failures, 1u);
+  send(1, 4, 0);  // untouched
+  EXPECT_EQ(rx.stats().verify_failures, 1u);
+  send(2, 1, 4);  // the first padding byte of the short generation
+  EXPECT_EQ(rx.stats().verify_failures, 1u);
+  EXPECT_EQ(rx.stats().generations_decoded, 3u);
+  EXPECT_TRUE(rx.complete());
+
+  // The sink gets each generation's unpadded bytes, as decoded.
+  ASSERT_EQ(delivered.size(), 3u);
+  auto corrupted = provider.generation_bytes(0);
+  corrupted.back() ^= 0x01;
+  EXPECT_EQ(delivered[0], corrupted);
+  EXPECT_EQ(delivered[1], provider.generation_bytes(1));
+  EXPECT_EQ(delivered[2], provider.generation_bytes(2));
+  EXPECT_EQ(delivered[2].size(), 20u);
 }

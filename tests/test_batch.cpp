@@ -7,8 +7,8 @@
 //   * draw-order equivalence of the batched coefficient draws
 //     (recode_batch / encode_random_batch against their sequential
 //     single-packet counterparts from the same engine state);
-//   * the decoder's systematic fast path against the general
-//     elimination path (identical rank trajectory and recovery);
+//   * systematic rows interleaved with coded ones through the decoder's
+//     one elimination path (add() verdicts and recovery);
 //   * the batched-vs-unbatched butterfly differential: the same
 //     scenario run with max_batch=1 (per-packet baseline) and
 //     max_batch=32 must hand every receiver identical ordered decoded
@@ -143,91 +143,130 @@ TEST(Batch, PartialBatchPassesAuditedTeardown) {
   // leaked row from the partially-filled batch would abort the test.
 }
 
-TEST(Batch, RecodeBatchMatchesSequentialDrawOrder) {
-  // One k*g coefficient fill must reproduce k sequential per-packet
-  // fills (g % 4 == 0 word-slicing; see rng_fill.hpp), so a batched
-  // recoder is a drop-in for a per-packet one under the same seed — at
-  // every batch width, and at rank 1, at rank 7 with spread-out pivot
-  // columns and at full rank. The one documented exception: a row whose
-  // weights on the present pivots are all zero is redrawn after all k
-  // fills, so the two streams part from the first such row on; the test
-  // replays the fill to find it.
-  coding::CodingParams p;
-  p.generation_blocks = 32;
-  p.block_size = 128;
-  const std::size_t g = p.generation_blocks;
-  const auto data = random_bytes(p.generation_bytes(), 21);
-  coding::Generation gen(0, data, p);
-  auto pool = coding::PacketPool::make();
-  std::mt19937 enc_rng(22);
-  coding::Encoder enc(1, gen, enc_rng, pool);
-
-  std::vector<std::size_t> all(g);
-  for (std::size_t c = 0; c < g; ++c) all[c] = c;
-  const std::vector<std::vector<std::size_t>> pivot_sets = {
-      {5}, {1, 3, 4, 9, 17, 22, 30}, all};
-  for (const auto& pivots : pivot_sets) {
-    // Row i: zero before its pivot column, a nonzero lead there, dense
-    // after; arriving in column order, each installs its own pivot.
-    coding::Decoder relay(1, 0, p, pool);
-    for (const std::size_t lead : pivots) {
-      std::vector<std::uint8_t> coeffs(g, 0);
-      coeffs[lead] = static_cast<std::uint8_t>(1 + enc_rng() % 255);
-      for (std::size_t c = lead + 1; c < g; ++c) {
-        coeffs[c] = static_cast<std::uint8_t>(enc_rng());
-      }
-      ASSERT_TRUE(relay.add(enc.encode_with(coeffs)));
+/// Rows drawn from a fresh `seed` engine, g coefficient bytes at a time,
+/// before the first whose weights on `cols` are all zero: a batched draw
+/// redraws that row after all k fills, where k single draws redraw it
+/// before the next row's fill, so the two streams part there.
+std::size_t rows_before_redraw(std::uint32_t seed, std::size_t g,
+                               std::size_t k,
+                               const std::vector<std::size_t>& cols) {
+  std::mt19937 probe(seed);
+  std::vector<std::uint8_t> w(g);
+  for (std::size_t j = 0; j < k; ++j) {
+    coding::detail::fill_random_bytes(w, probe);
+    if (std::none_of(cols.begin(), cols.end(),
+                     [&](std::size_t c) { return w[c] != 0; })) {
+      return j;
     }
-    ASSERT_EQ(relay.rank(), pivots.size());
-    for (const std::size_t k : {1, 2, 5, 8, 32}) {
-      const auto seed = static_cast<std::uint32_t>(7 + k + pivots.size());
-      std::mt19937 probe(seed);
-      std::vector<std::uint8_t> w(k * g);
-      coding::detail::fill_random_bytes(w, probe);
-      std::size_t same = 0;  // rows before the first redraw
-      while (same < k && std::any_of(pivots.begin(), pivots.end(),
-                                     [&](std::size_t c) {
-                                       return w[same * g + c] != 0;
-                                     })) {
-        ++same;
+  }
+  return k;
+}
+
+/// Draw-order cases: g with a fill that ends mid word (3, 5) and one
+/// that does not (32), each with a rank-1 pivot and a spread-out partial
+/// pivot set.
+struct DrawCase {
+  std::size_t g;
+  std::vector<std::size_t> rank1;
+  std::vector<std::size_t> spread;
+};
+const std::vector<DrawCase>& draw_cases() {
+  static const std::vector<DrawCase> cases = {
+      {3, {1}, {0, 2}},
+      {5, {2}, {1, 3, 4}},
+      {32, {5}, {1, 3, 4, 9, 17, 22, 30}}};
+  return cases;
+}
+
+TEST(Batch, RecodeBatchMatchesSequentialDrawOrder) {
+  // The k rows of one batched draw are k sequential per-packet fills
+  // (rng_fill.hpp slices whole words, so row-by-row fills read the
+  // same bytes at every g), so a batched recoder is a drop-in for a
+  // per-packet one under the same seed — at every batch width, and at
+  // rank 1, at a partial rank with spread-out pivot columns and at full
+  // rank. The one documented exception: a row whose weights on the
+  // present pivots are all zero is redrawn after all k fills, so the two
+  // streams part from the first such row on; the test replays the fill
+  // to find it.
+  for (const DrawCase& dc : draw_cases()) {
+    coding::CodingParams p;
+    p.generation_blocks = dc.g;
+    p.block_size = 128;
+    const std::size_t g = p.generation_blocks;
+    const auto data = random_bytes(p.generation_bytes(), 21);
+    coding::Generation gen(0, data, p);
+    auto pool = coding::PacketPool::make();
+    std::mt19937 enc_rng(22);
+    coding::Encoder enc(1, gen, enc_rng, pool);
+
+    std::vector<std::size_t> all(g);
+    for (std::size_t c = 0; c < g; ++c) all[c] = c;
+    for (const auto& pivots : {dc.rank1, dc.spread, all}) {
+      // Row i: zero before its pivot column, a nonzero lead there, dense
+      // after; arriving in column order, each installs its own pivot.
+      coding::Decoder relay(1, 0, p, pool);
+      for (const std::size_t lead : pivots) {
+        std::vector<std::uint8_t> coeffs(g, 0);
+        coeffs[lead] = static_cast<std::uint8_t>(1 + enc_rng() % 255);
+        for (std::size_t c = lead + 1; c < g; ++c) {
+          coeffs[c] = static_cast<std::uint8_t>(enc_rng());
+        }
+        ASSERT_TRUE(relay.add(enc.encode_with(coeffs)));
       }
-      std::mt19937 rng_a(seed);
-      std::mt19937 rng_b(seed);
-      coding::PacketBatch batch;
-      relay.recode_batch(rng_a, k, batch);
-      ASSERT_EQ(batch.size(), k);
-      for (std::size_t j = 0; j < same; ++j) {
-        EXPECT_EQ(batch[j].serialize(), relay.recode(rng_b).serialize())
-            << "rank " << pivots.size() << " k=" << k << " packet " << j;
+      ASSERT_EQ(relay.rank(), pivots.size());
+      for (const std::size_t k : {1, 2, 5, 8, 32}) {
+        const auto seed = static_cast<std::uint32_t>(7 + k + pivots.size());
+        const std::size_t same = rows_before_redraw(seed, g, k, pivots);
+        std::mt19937 rng_a(seed);
+        std::mt19937 rng_b(seed);
+        coding::PacketBatch batch;
+        relay.recode_batch(rng_a, k, batch);
+        ASSERT_EQ(batch.size(), k);
+        for (std::size_t j = 0; j < same; ++j) {
+          EXPECT_EQ(batch[j].serialize(), relay.recode(rng_b).serialize())
+              << "g=" << g << " rank " << pivots.size() << " k=" << k
+              << " packet " << j;
+        }
       }
     }
   }
 }
 
 TEST(Batch, EncodeRandomBatchMatchesSequentialDrawOrder) {
-  coding::CodingParams p;
-  p.generation_blocks = 32;
-  p.block_size = 128;
-  const auto data = random_bytes(p.generation_bytes(), 23);
-  coding::Generation gen(0, data, p);
-  auto pool = coding::PacketPool::make();
-  std::mt19937 rng_a(9);
-  std::mt19937 rng_b(9);
-  coding::Encoder batched(1, gen, rng_a, pool);
-  coding::Encoder sequential(1, gen, rng_b, pool);
-  coding::PacketBatch batch;
-  batched.encode_random_batch(8, batch);
-  ASSERT_EQ(batch.size(), 8u);
-  for (std::size_t j = 0; j < 8; ++j) {
-    EXPECT_EQ(batch[j].serialize(), sequential.encode_random().serialize())
-        << "packet " << j;
+  // As for recode_batch, with every column in the redraw test.
+  for (const DrawCase& dc : draw_cases()) {
+    coding::CodingParams p;
+    p.generation_blocks = dc.g;
+    p.block_size = 128;
+    const std::size_t g = p.generation_blocks;
+    const auto data = random_bytes(p.generation_bytes(), 23);
+    coding::Generation gen(0, data, p);
+    std::vector<std::size_t> all(g);
+    for (std::size_t c = 0; c < g; ++c) all[c] = c;
+    auto pool = coding::PacketPool::make();
+    for (const std::size_t k : {1, 5, 8, 32}) {
+      const auto seed = static_cast<std::uint32_t>(9 + k);
+      const std::size_t same = rows_before_redraw(seed, g, k, all);
+      std::mt19937 rng_a(seed);
+      std::mt19937 rng_b(seed);
+      coding::Encoder batched(1, gen, rng_a, pool);
+      coding::Encoder sequential(1, gen, rng_b, pool);
+      coding::PacketBatch batch;
+      batched.encode_random_batch(k, batch);
+      ASSERT_EQ(batch.size(), k);
+      for (std::size_t j = 0; j < same; ++j) {
+        EXPECT_EQ(batch[j].serialize(),
+                  sequential.encode_random().serialize())
+            << "g=" << g << " k=" << k << " packet " << j;
+      }
+    }
   }
 }
 
-TEST(Batch, SystematicFastPathMatchesGeneralElimination) {
-  // The fast path (identity coefficient row installed without a sweep)
-  // must be observationally identical to full Gaussian elimination:
-  // same per-add verdicts, same rank trajectory, same recovery.
+TEST(Batch, SystematicRowsInterleavedWithCodedOnesDecode) {
+  // Unit rows take add()'s one elimination path like any other arrival:
+  // a unit row on a free column installs as it is, and one on an
+  // occupied column, or in the span already held, is not innovative.
   coding::CodingParams p;
   p.generation_blocks = 8;
   p.block_size = 64;
@@ -237,7 +276,7 @@ TEST(Batch, SystematicFastPathMatchesGeneralElimination) {
   std::mt19937 rng(32);
   coding::Encoder enc(1, gen, rng, pool);
 
-  // Interleave systematic rows (one duplicated) with random ones.
+  // Interleave systematic rows (some repeated) with random ones.
   std::vector<coding::CodedPacket> feed;
   feed.push_back(enc.encode_systematic(3));
   feed.push_back(enc.encode_random());
@@ -248,18 +287,23 @@ TEST(Batch, SystematicFastPathMatchesGeneralElimination) {
   }
   feed.push_back(enc.encode_random());
 
-  coding::Decoder fast(1, 0, p, pool);
-  coding::Decoder general(1, 0, p, pool);
-  general.set_systematic_fastpath(false);
+  // After e3, r, e0 and e1, e2, e4, e5, the dense row r leaves e6 outside
+  // the span, so e6 completes the generation; the repeats, e7 and the
+  // last random row are not innovative.
+  const std::vector<bool> expected = {true,  true,  true, false, false,
+                                      true,  true,  false, true, true,
+                                      true,  false, false};
+  ASSERT_EQ(feed.size(), expected.size());
+  coding::Decoder dec(1, 0, p, pool);
   for (std::size_t i = 0; i < feed.size(); ++i) {
-    const bool a = fast.add(feed[i]);
-    const bool b = general.add(feed[i]);
-    EXPECT_EQ(a, b) << "add verdict diverged at packet " << i;
-    EXPECT_EQ(fast.rank(), general.rank()) << "rank diverged at " << i;
+    EXPECT_EQ(dec.add(feed[i]), expected[i]) << "packet " << i;
   }
-  ASSERT_TRUE(fast.complete());
-  ASSERT_TRUE(general.complete());
-  EXPECT_EQ(fast.recover(), general.recover());
+  ASSERT_TRUE(dec.complete());
+  std::vector<std::uint8_t> recovered;
+  for (const auto& blk : dec.recover()) {
+    recovered.insert(recovered.end(), blk.begin(), blk.end());
+  }
+  EXPECT_EQ(recovered, data);
 }
 
 // ---------------------------------------------------------------------

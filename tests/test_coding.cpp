@@ -1,5 +1,5 @@
 // Unit tests for the RLNC codec: header wire format, generation
-// segmentation, encode/decode round trips, relay recoding, and the FIFO
+// padding, encode/decode round trips, relay recoding, and the FIFO
 // generation buffer.
 #include <gtest/gtest.h>
 
@@ -76,18 +76,6 @@ TEST(Packet, ParseRejectsWrongSize) {
   EXPECT_FALSE(CodedPacket::parse(wire, p).has_value());
 }
 
-TEST(Packet, SystematicIndexDetection) {
-  const std::vector<std::uint8_t> payload(16, 0);
-  auto with_coeffs = [&](std::vector<std::uint8_t> cs) {
-    return CodedPacket::make(1, 0, cs, payload);
-  };
-  EXPECT_EQ(with_coeffs({0, 1, 0, 0}).systematic_index(), 1u);
-  EXPECT_FALSE(with_coeffs({0, 2, 0, 0}).systematic_index().has_value());
-  EXPECT_FALSE(with_coeffs({1, 1, 0, 0}).systematic_index().has_value());
-  // All-zero coefficients: not a valid systematic packet.
-  EXPECT_FALSE(with_coeffs({0, 0, 0, 0}).systematic_index().has_value());
-}
-
 TEST(Generation, PadsTailBlock) {
   CodingParams p;
   p.block_size = 10;
@@ -102,18 +90,6 @@ TEST(Generation, PadsTailBlock) {
   for (std::size_t i = 0; i < 7; ++i) EXPECT_EQ(gen.block(1)[i], data[10 + i]);
   for (std::size_t i = 7; i < 10; ++i) EXPECT_EQ(gen.block(1)[i], 0);
   for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(gen.block(2)[i], 0);
-}
-
-TEST(Generation, SplitCoversAllBytes) {
-  CodingParams p;
-  p.block_size = 100;
-  p.generation_blocks = 4;
-  const auto data = random_bytes(1234, 11);
-  const auto gens = split_into_generations(data, p, 10);
-  ASSERT_EQ(gens.size(), 4u);  // ceil(1234 / 400)
-  EXPECT_EQ(gens[0].id(), 10u);
-  EXPECT_EQ(gens[3].id(), 13u);
-  EXPECT_EQ(gens[3].payload_bytes(), 1234u - 3 * 400u);
 }
 
 class RoundTrip : public ::testing::TestWithParam<std::size_t> {};
@@ -354,10 +330,27 @@ TEST(DecoderDeathTest, ReleasedDecoderRefusesToRecodeOrRecover) {
                "Decoder::recode_batch on released");
 }
 
+TEST(DecoderDeathTest, RecodeAtRankZeroAborts) {
+  // No weights on an empty pivot set can pass the draw's all-zero test:
+  // the draw aborts, in every build type, instead of redrawing forever.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const std::size_t g : {std::size_t{1}, std::size_t{4}}) {
+    CodingParams p;
+    p.block_size = 16;
+    p.generation_blocks = g;
+    Decoder dec(1, 0, p);
+    std::mt19937 rng(3);
+    EXPECT_DEATH((void)dec.recode(rng), "recode at rank 0") << g;
+    PacketBatch out;
+    EXPECT_DEATH(dec.recode_batch(rng, 2, out), "recode at rank 0") << g;
+  }
+}
+
 TEST(DecoderDeathTest, GenerationSizeOutsideTheBoundAborts) {
   // Checked in every build type: past kMaxGenerationBlocks the recode
   // and elimination paths would overrun their stack arrays, and at 0 a
-  // recoder would redraw forever.
+  // recoder would redraw forever. No out-of-bound Generation can exist,
+  // so an Encoder never sees one.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   for (const std::size_t g : {std::size_t{0}, kMaxGenerationBlocks + 1,
                               std::size_t{300}}) {
@@ -367,11 +360,9 @@ TEST(DecoderDeathTest, GenerationSizeOutsideTheBoundAborts) {
     EXPECT_DEATH(Decoder(1, 0, p), "Decoder: generation of [0-9]+ blocks "
                                    "outside \\[1, 256\\]")
         << g;
-    const std::vector<std::uint8_t> data(16 * g + 1, 7);
-    Generation gen(0, data, p);
-    std::mt19937 rng(1);
-    EXPECT_DEATH(Encoder(1, gen, rng), "Encoder: generation of [0-9]+ "
-                                       "blocks outside \\[1, 256\\]")
+    EXPECT_DEATH(Generation(0, std::vector<std::uint8_t>(16 * g + 1, 7), p),
+                 "Generation: generation of [0-9]+ blocks outside "
+                 "\\[1, 256\\]")
         << g;
   }
   CodingParams p;
@@ -500,15 +491,18 @@ TEST(GenericCodec, RoundTripGf65536) { generic_roundtrip<16>(); }
 // ---- Golden codec bytes ----
 //
 // Every byte the codec emits, pinned as one FNV-1a digest line per stage
-// in tests/golden/codec_bytes.txt, for g in {4, 32, 128} and blocks of
-// 100 and 1460 bytes: the encoder's systematic and random packets,
-// recode_batch at k in {1, 5, 32} from a relay at rank 1, at a partial
-// rank with non-contiguous pivot columns and at full rank, and a sink fed
-// those packets (its add() verdicts, its own recode and recover()). The
-// relays and the sink reach their rows through add()'s general
-// elimination, so the recode digests pin the eliminated rows byte for
-// byte. GF(2^8) arithmetic is exact and the draws are fixed: a kernel,
-// elimination-order or batching change must leave every line alone.
+// in tests/golden/codec_bytes.txt, for g in {4, 32, 128, 1, 3, 5} and
+// blocks of 100 and 1460 bytes: the encoder's systematic and random
+// packets, recode_batch at k in {1, 5, 32} from a relay at rank 1, at a
+// partial rank with non-contiguous pivot columns (for g >= 2) and at full
+// rank, and a sink fed those packets (its add() verdicts, its own recode
+// and recover()). The relays and the sink reach their rows through
+// add()'s general elimination, so the recode digests pin the eliminated
+// rows byte for byte. g = 3 and 5 end each row's coefficient fill mid
+// word, and at g = 1 one drawn row in 256 is all zero, so 1,024 more rows
+// of each draw path pin the redraw. GF(2^8) arithmetic is exact and the
+// draws are fixed: a kernel, elimination-order or batching change must
+// leave every line alone.
 // Regenerate only for an intended output change:
 //   NCFN_UPDATE_GOLDEN=1 ./build/tests/test_coding
 
@@ -566,7 +560,8 @@ std::string codec_golden_lines(std::size_t g, std::size_t block) {
 
   // Relays at rank 1, at a partial rank whose pivot columns are spread
   // out (row i: zeros before column (2i+1)g/2r, a nonzero lead there
-  // that is rarely 1, dense after), and at full rank.
+  // that is rarely 1, dense after), and at full rank. At g = 1 the
+  // partial rank would be 0, where there is nothing to recode.
   Decoder rank1(1, 0, p, pool);
   rank1.add(random[0]);
   const std::size_t r = std::min<std::size_t>(7, g / 2);
@@ -585,11 +580,13 @@ std::string codec_golden_lines(std::size_t g, std::size_t block) {
   if (partial.rank() != r || !full.complete()) return "relay setup failed\n";
 
   std::vector<CodedPacket> recoded;
-  const struct {
+  struct Relay {
     const char* name;
     const Decoder* relay;
-  } relays[] = {{"rank=1", &rank1}, {"rank=partial", &partial},
-                {"rank=full", &full}};
+  };
+  std::vector<Relay> relays = {{"rank=1", &rank1}};
+  if (r > 0) relays.push_back({"rank=partial", &partial});
+  relays.push_back({"rank=full", &full});
   for (const auto& relay : relays) {
     Fnv1a single;
     recoded.push_back(relay.relay->recode(rng));
@@ -632,6 +629,24 @@ std::string codec_golden_lines(std::size_t g, std::size_t block) {
   Fnv1a recovered;
   for (const auto& blk : sink.recover()) recovered.bytes(blk);
   line("sink recover", recovered);
+  if (g == 1) {
+    Fnv1a encoded;
+    Fnv1a recoded_rows;
+    for (std::size_t i = 0; i < 16; ++i) {
+      for (std::size_t j = 0; j < 32; ++j) {
+        encoded.packet(enc.encode_random());
+        recoded_rows.packet(rank1.recode(rng));
+      }
+      PacketBatch b;
+      enc.encode_random_batch(32, b);
+      encoded.batch(b);
+      b.clear();
+      rank1.recode_batch(rng, 32, b);
+      recoded_rows.batch(b);
+    }
+    line("encode random x1024", encoded);
+    line("recode rank=1 x1024", recoded_rows);
+  }
   Fnv1a source;
   source.bytes(data);
   line("source", source);
@@ -642,7 +657,7 @@ std::string codec_golden_lines(std::size_t g, std::size_t block) {
 
 TEST(CodecGolden, OutputBytesAcrossSizesRanksAndBatchWidths) {
   std::string all;
-  for (const std::size_t g : {4, 32, 128}) {
+  for (const std::size_t g : {4, 32, 128, 1, 3, 5}) {
     for (const std::size_t block : {100, 1460}) {
       all += codec_golden_lines(g, block);
     }

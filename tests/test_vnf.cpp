@@ -113,6 +113,50 @@ TEST(CodingVnf, FirstPacketOfGenerationPassesThroughUnchanged) {
   EXPECT_TRUE(std::ranges::equal(received[0].payload(), first.payload()));
 }
 
+TEST(CodingVnf, IngressDropsAllZeroCoefficientVectors) {
+  // Such a packet carries nothing. A recode relay that admitted two for
+  // one generation would forward the first as the generation's first
+  // packet and then have to recode the second from no pivot at all.
+  Rig rig;
+  VnfConfig cfg = rig.vnf_config();
+  cfg.recode_hold_s = 0;
+  CodingVnf relay(rig.net, rig.relay, cfg);
+  relay.configure_session(1, VnfRole::kRecode, 9000);
+  relay.set_next_hops(1, {NextHopRate{NextHop{rig.dst, 9000}, 1.0}});
+  std::vector<coding::CodedPacket> received;
+  rig.net.bind(rig.dst, 9000, [&](const netsim::Datagram& d) {
+    received.push_back(*coding::CodedPacket::parse(d.payload, rig.params));
+  });
+
+  const std::vector<std::uint8_t> zeros(rig.params.generation_blocks, 0);
+  const std::vector<std::uint8_t> payload(rig.params.block_size, 0x5a);
+  const auto empty = coding::CodedPacket::make(1, 0, zeros, payload);
+  rig.send_packet(empty, 9000);
+  rig.send_packet(empty, 9000);
+  rig.net.sim().run();
+  EXPECT_TRUE(received.empty());
+  EXPECT_EQ(relay.stats(1).received, 0u);
+  EXPECT_EQ(relay.find_decoder(1, 0), nullptr);
+
+  // A valid packet after them opens the generation as usual: it passes
+  // through as the first packet, and the next one is recoded.
+  std::mt19937 rng(5);
+  const auto gen = app::SyntheticProvider(2, rig.params.generation_bytes(),
+                                          rig.params)
+                       .generation(0);
+  coding::Encoder enc(1, gen, rng);
+  const auto first = enc.encode_random();
+  const auto second = enc.encode_random();
+  rig.send_packet(first, 9000);
+  rig.send_packet(second, 9000);
+  rig.net.sim().run();
+  ASSERT_EQ(received.size(), 2u);
+  EXPECT_TRUE(std::ranges::equal(received[0].coeffs(), first.coeffs()));
+  EXPECT_FALSE(std::ranges::equal(received[1].coeffs(), second.coeffs()));
+  EXPECT_EQ(relay.stats(1).received, 2u);
+  EXPECT_EQ(relay.find_decoder(1, 0)->rank(), 2u);
+}
+
 TEST(CodingVnf, CreditSharesThinTheStream) {
   Rig rig;
   CodingVnf relay(rig.net, rig.relay, rig.vnf_config());
@@ -304,7 +348,9 @@ TEST(CodingVnf, RecodeRoleKeepsRowsForLateArrivals) {
   rig.net.sim().run();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].generation, kGens - 2);
-  EXPECT_FALSE(out[0].systematic_index().has_value());
+  // Recoded, not passed through.
+  EXPECT_FALSE(std::ranges::equal(out[0].coeffs(),
+                                  stream.packets[kGens - 2][0].coeffs()));
   EXPECT_TRUE(stream.consistent(out[0]));
 }
 
