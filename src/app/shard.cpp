@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <set>
 
 #include "netsim/loss.hpp"
 #include "netsim/seedstream.hpp"
@@ -195,17 +196,13 @@ void ScenarioRun::schedule_faults(SimShard& shard) const {
     const graph::EdgeIdx e = topo.find_edge(lf.from, lf.to);
     clock.schedule_at(lf.at_s, [&shard, &specs, &clock, rewire, e] {
       shard.owner.assert_held();
-      const ctrl::DeploymentPlan& live = shard.controller->plan();
-      std::vector<std::size_t> affected;
-      for (std::size_t m = 0; m < specs.size(); ++m) {
-        const auto row = live.session_index(specs[m].id);
-        if (row && live.edge_rate_mbps[*row].count(e) > 0) {
-          affected.push_back(m);
-        }
-      }
+      const std::set<coding::SessionId> affected =
+          shard.controller->sessions_using_edge(e);
       shard.sim->link(e)->set_up(false);
       shard.controller->report_link_state(e, false, clock.now());
-      for (const std::size_t m : affected) rewire(m);
+      for (std::size_t m = 0; m < specs.size(); ++m) {
+        if (affected.count(specs[m].id) > 0) rewire(m);
+      }
     });
     if (lf.for_s <= 0) continue;  // the link stays down
     clock.schedule_at(lf.at_s + lf.for_s, [&shard, &specs, &clock, rewire, e] {
@@ -217,19 +214,13 @@ void ScenarioRun::schedule_faults(SimShard& shard) const {
     });
   }
   for (const VnfCrash& c : scenario_->crashes) {
-    clock.schedule_at(c.at_s, [&shard, &specs, &topo, c] {
+    clock.schedule_at(c.at_s, [&shard, &specs, c] {
       shard.owner.assert_held();
       if (vnf::CodingVnf* v = shard.sim->find_vnf(c.node)) v->crash();
-      const ctrl::DeploymentPlan& live = shard.controller->plan();
+      const std::set<coding::SessionId> hit =
+          shard.controller->sessions_using_dc(c.node);
       for (std::size_t m = 0; m < specs.size(); ++m) {
-        const auto row = live.session_index(specs[m].id);
-        if (!row) continue;
-        bool uses = false;
-        for (const auto& [e, rate] : live.edge_rate_mbps[*row]) {
-          const graph::EdgeInfo& ei = topo.edge(e);
-          uses = uses || ei.from == c.node || ei.to == c.node;
-        }
-        if (!uses) continue;
+        if (hit.count(specs[m].id) == 0) continue;
         NcMulticastSession& session = *shard.sessions[m];
         for (std::size_t r = 0; r < session.receiver_count(); ++r) {
           session.receiver(r).mark_disruption();

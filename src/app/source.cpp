@@ -120,7 +120,6 @@ void McSource::configure_trees(const graph::Topology& topo,
 void McSource::start() {
   assert(!pacers_.empty() && "configure hops or trees before start()");
   started_ = true;
-  stopped_ = false;
   start_time_ = net_.sim().now();
   for (std::size_t i = 0; i < pacers_.size(); ++i) {
     pacers_[i].running = true;
@@ -137,8 +136,6 @@ void McSource::schedule_tick(std::size_t idx, double delay_s) {
     if (epoch == pacer_epoch_) pacer_tick(idx);
   });
 }
-
-void McSource::stop() { stopped_ = true; }
 
 bool McSource::data_exhausted() const {
   if (!started_) return false;
@@ -212,61 +209,58 @@ void McSource::pacer_tick(std::size_t idx) {
         emitted = true;
       }
     }
-  } else if (!stopped_) {
-    if (tree_mode_) {
-      if (p.tree_cursor < provider_.generation_count()) {
-        send_packet(p,
-                    encoder(p.tree_cursor).encode_systematic(p.block_cursor),
-                    /*repair=*/false);
-        emitted = true;
-        if (p.tree_cursor == 0) {
-          // Track completion of the first generation for Table II.
-          if (p.block_cursor + 1 == cfg_.params.generation_blocks &&
-              first_gen_sent_at_ < 0) {
-            first_gen_sent_at_ = net_.sim().now();
-          }
-        }
-        if (++p.block_cursor >= cfg_.params.generation_blocks) {
-          p.block_cursor = 0;
-          do {
-            ++p.tree_cursor;
-          } while (p.tree_cursor < provider_.generation_count() &&
-                   schedule_[p.tree_cursor % schedule_.size()] !=
-                       p.tree_index);
+  } else if (tree_mode_) {
+    if (p.tree_cursor < provider_.generation_count()) {
+      send_packet(p,
+                  encoder(p.tree_cursor).encode_systematic(p.block_cursor),
+                  /*repair=*/false);
+      emitted = true;
+      if (p.tree_cursor == 0) {
+        // Track completion of the first generation for Table II.
+        if (p.block_cursor + 1 == cfg_.params.generation_blocks &&
+            first_gen_sent_at_ < 0) {
+          first_gen_sent_at_ = net_.sim().now();
         }
       }
-    } else {
-      // Take the next generation's quota if the current one is spent.
-      if (p.remaining == 0) {
-        while (p.gen_cursor < provider_.generation_count()) {
-          p.quota_acc += p.quota_per_gen;
-          const int take = static_cast<int>(std::floor(p.quota_acc + 1e-9));
-          if (take > 0) {
-            p.quota_acc -= take;
-            p.remaining = take;
-            break;
-          }
-          ++p.gen_cursor;  // this edge carries nothing for this generation
-        }
+      if (++p.block_cursor >= cfg_.params.generation_blocks) {
+        p.block_cursor = 0;
+        do {
+          ++p.tree_cursor;
+        } while (p.tree_cursor < provider_.generation_count() &&
+                 schedule_[p.tree_cursor % schedule_.size()] !=
+                     p.tree_index);
       }
-      if (p.remaining > 0 && p.gen_cursor < provider_.generation_count()) {
-        send_packet(p, encoder(p.gen_cursor).encode_random(),
-                    /*repair=*/false);
-        emitted = true;
-        if (--p.remaining == 0) ++p.gen_cursor;
-        if (first_gen_sent_at_ < 0) {
-          bool all_past_gen0 = true;
-          for (const Pacer& q : pacers_) {
-            all_past_gen0 = all_past_gen0 && q.gen_cursor > 0;
-          }
-          if (all_past_gen0) first_gen_sent_at_ = net_.sim().now();
+    }
+  } else {
+    // Take the next generation's quota if the current one is spent.
+    if (p.remaining == 0) {
+      while (p.gen_cursor < provider_.generation_count()) {
+        p.quota_acc += p.quota_per_gen;
+        const int take = static_cast<int>(std::floor(p.quota_acc + 1e-9));
+        if (take > 0) {
+          p.quota_acc -= take;
+          p.remaining = take;
+          break;
         }
+        ++p.gen_cursor;  // this edge carries nothing for this generation
+      }
+    }
+    if (p.remaining > 0 && p.gen_cursor < provider_.generation_count()) {
+      send_packet(p, encoder(p.gen_cursor).encode_random(),
+                  /*repair=*/false);
+      emitted = true;
+      if (--p.remaining == 0) ++p.gen_cursor;
+      if (first_gen_sent_at_ < 0) {
+        bool all_past_gen0 = true;
+        for (const Pacer& q : pacers_) {
+          all_past_gen0 = all_past_gen0 && q.gen_cursor > 0;
+        }
+        if (all_past_gen0) first_gen_sent_at_ = net_.sim().now();
       }
     }
   }
 
-  if (emitted || !p.repair_queue.empty() ||
-      (!stopped_ && !data_exhausted())) {
+  if (emitted || !p.repair_queue.empty() || !data_exhausted()) {
     schedule_tick(idx, p.interval_s);
   } else {
     p.running = false;  // idle; a repair request will wake it up

@@ -83,7 +83,6 @@ class McSource {
                        netsim::Port data_port_override = 0);
 
   void start();
-  void stop();
 
   [[nodiscard]] bool data_exhausted() const;
   [[nodiscard]] const SourceStats& stats() const { return stats_; }
@@ -136,7 +135,6 @@ class McSource {
   std::map<coding::GenerationId, coding::Generation> generations_;
 
   bool started_ = false;
-  bool stopped_ = false;
   netsim::Time start_time_ = 0;
   netsim::Time first_gen_sent_at_ = -1;
   std::size_t repair_rr_ = 0;

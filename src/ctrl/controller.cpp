@@ -8,10 +8,12 @@ namespace ncfn::ctrl {
 
 namespace {
 constexpr double kObjEps = 1e-6;
+// Algs. 1 and 2 react to a measured change of more than 5 % (rho1, rho2).
+constexpr double kSignificantChange = 0.05;
 
-bool changed_by_more_than(double old_v, double new_v, double rho) {
+bool changed_significantly(double old_v, double new_v) {
   if (old_v <= 0) return new_v > 0;
-  return std::abs(new_v - old_v) / old_v > rho;
+  return std::abs(new_v - old_v) / old_v > kSignificantChange;
 }
 }  // namespace
 
@@ -20,13 +22,19 @@ Controller::Controller(graph::Topology topo, const Config& cfg)
   for (graph::NodeIdx v : topo_.data_centers()) pools_[v];  // default pools
 }
 
-DeploymentPlan Controller::solve_with(const SolveOptions& opts) const {
+DeploymentPlan Controller::solve_for(
+    const std::set<coding::SessionId>& unfrozen, VnfRule rule) const {
   DeploymentProblem prob;
   prob.topo = &topo_;
   prob.sessions = sessions_;
   prob.alpha = cfg_.alpha;
-  prob.path_limits = cfg_.path_limits;
-  prob.max_vnfs_per_dc = cfg_.max_vnfs_per_dc;
+  SolveOptions opts;
+  for (const SessionSpec& s : sessions_) {
+    if (unfrozen.count(s.id) == 0) opts.frozen_sessions.insert(s.id);
+  }
+  opts.previous = &plan_;
+  if (rule == VnfRule::kFloor) opts.vnf_floor = current_deployment();
+  if (rule == VnfRule::kFixed) opts.vnf_fixed = current_deployment();
   return solve_deployment(prob, opts);
 }
 
@@ -172,6 +180,13 @@ void Controller::apply_plan(DeploymentPlan next, double now_s) {
   plan_ = std::move(next);
 }
 
+void Controller::apply_better(DeploymentPlan a, DeploymentPlan b,
+                              double now_s) {
+  const bool a_wins =
+      a.feasible && (!b.feasible || a.objective > b.objective + kObjEps);
+  apply_plan(a_wins ? std::move(a) : std::move(b), now_s);
+}
+
 // ---------------- Alg. 3: session / receiver churn ----------------
 
 bool Controller::add_session(const SessionSpec& spec, double now_s) {
@@ -186,12 +201,7 @@ bool Controller::add_session(const SessionSpec& spec, double now_s) {
 
   // Solve for the new session only, on top of the current deployment and
   // the existing sessions' flows.
-  SolveOptions opts;
-  opts.frozen_sessions = all_session_ids();
-  opts.frozen_sessions.erase(spec.id);
-  opts.previous = &plan_;
-  opts.vnf_floor = current_deployment();
-  DeploymentPlan next = solve_with(opts);
+  DeploymentPlan next = solve_for({spec.id}, VnfRule::kFloor);
   if (!next.feasible) {
     sessions_.pop_back();
     return false;
@@ -215,26 +225,13 @@ void Controller::remove_session(coding::SessionId id, double now_s) {
   sessions_.erase(it);
 
   if (sessions_.empty()) {
-    apply_plan(solve_with(SolveOptions{}), now_s);
+    apply_plan(solve_for({}, VnfRule::kFree), now_s);
     return;
   }
-
-  // g1: keep the deployment, let remaining flows grow into freed capacity.
-  SolveOptions o1;
-  o1.vnf_fixed = current_deployment();
-  const DeploymentPlan g1 = solve_with(o1);
-
-  // g2: keep the remaining flows, shrink the deployment.
-  SolveOptions o2;
-  o2.frozen_sessions = all_session_ids();
-  o2.previous = &plan_;
-  const DeploymentPlan g2 = solve_with(o2);
-
-  if (g1.feasible && (!g2.feasible || g1.objective > g2.objective + kObjEps)) {
-    apply_plan(g1, now_s);
-  } else if (g2.feasible) {
-    apply_plan(g2, now_s);
-  }
+  // Keep the deployment and let the remaining flows grow into the freed
+  // capacity, or keep the remaining flows and shrink the deployment.
+  DeploymentPlan grow = solve_for(all_session_ids(), VnfRule::kFixed);
+  apply_better(std::move(grow), solve_for({}, VnfRule::kFree), now_s);
 }
 
 bool Controller::add_receiver(coding::SessionId id, graph::NodeIdx receiver,
@@ -244,12 +241,7 @@ bool Controller::add_receiver(coding::SessionId id, graph::NodeIdx receiver,
   if (it == sessions_.end()) return false;
   it->receivers.push_back(receiver);
 
-  SolveOptions opts;
-  opts.frozen_sessions = all_session_ids();
-  opts.frozen_sessions.erase(id);
-  opts.previous = &plan_;
-  opts.vnf_floor = current_deployment();
-  DeploymentPlan next = solve_with(opts);
+  DeploymentPlan next = solve_for({id}, VnfRule::kFloor);
   if (!next.feasible) {
     it->receivers.pop_back();
     return false;
@@ -273,22 +265,16 @@ void Controller::remove_receiver(coding::SessionId id,
   }
   // Re-solve the affected session with the shrunk receiver set; the
   // deployment may shrink (VNFs drain via tau).
-  SolveOptions opts;
-  opts.frozen_sessions = all_session_ids();
-  opts.frozen_sessions.erase(id);
-  opts.previous = &plan_;
-  DeploymentPlan next = solve_with(opts);
-  if (next.feasible) apply_plan(std::move(next), now_s);
+  apply_plan(solve_for({id}, VnfRule::kFree), now_s);
 }
 
 // ---------------- Alg. 1: bandwidth variation ----------------
 
 void Controller::report_bandwidth(graph::NodeIdx v, double bin_bps,
                                   double bout_bps, double now_s) {
-  if (!scaling_enabled_) return;
   const graph::NodeInfo& ni = topo_.node(v);
-  const bool significant = changed_by_more_than(ni.bin_bps, bin_bps, cfg_.rho1) ||
-                           changed_by_more_than(ni.bout_bps, bout_bps, cfg_.rho1);
+  const bool significant = changed_significantly(ni.bin_bps, bin_bps) ||
+                           changed_significantly(ni.bout_bps, bout_bps);
   if (!significant) {
     pending_bw_.erase(v);  // brief spike ended
     return;
@@ -313,39 +299,20 @@ void Controller::apply_bandwidth_change(graph::NodeIdx v,
   topo_.node(v).bin_bps = pb.bin_bps;
   topo_.node(v).bout_bps = pb.bout_bps;
 
-  // Freeze flows of sessions not touching the affected data center.
-  std::set<coding::SessionId> frozen = all_session_ids();
-  for (coding::SessionId id : sessions_using_dc(v)) frozen.erase(id);
-
-  // Candidate: allow scale-out on top of the current deployment.
-  SolveOptions grow;
-  grow.frozen_sessions = frozen;
-  grow.previous = &plan_;
-  grow.vnf_floor = current_deployment();
-  const DeploymentPlan g = solve_with(grow);
-
-  // Fallback: keep the deployment fixed, reroute/shrink flows only.
-  SolveOptions keep;
-  keep.frozen_sessions = frozen;
-  keep.previous = &plan_;
-  keep.vnf_fixed = current_deployment();
-  const DeploymentPlan kept = solve_with(keep);
-
-  if (g.feasible &&
-      (!kept.feasible || g.objective > kept.objective + kObjEps)) {
-    apply_plan(g, now_s);
-  } else if (kept.feasible) {
-    apply_plan(kept, now_s);
-  }
+  // Only sessions touching the affected data center may change: scale
+  // out on top of the current deployment, unless keeping it fixed and
+  // rerouting/shrinking flows does as well.
+  const std::set<coding::SessionId> affected = sessions_using_dc(v);
+  DeploymentPlan grow = solve_for(affected, VnfRule::kFloor);
+  apply_better(std::move(grow), solve_for(affected, VnfRule::kFixed), now_s);
 }
 
 // ---------------- Alg. 2: delay changes ----------------
 
 void Controller::report_delay(graph::EdgeIdx e, double delay_s,
                               double now_s) {
-  if (!scaling_enabled_) return;
   const graph::EdgeInfo& ei = topo_.edge(e);
-  if (!changed_by_more_than(ei.delay_s, delay_s, cfg_.rho2)) {
+  if (!changed_significantly(ei.delay_s, delay_s)) {
     pending_delay_.erase(e);
     return;
   }
@@ -366,21 +333,11 @@ void Controller::apply_delay_change(graph::EdgeIdx e, const PendingDelay& pd,
                                     double now_s) {
   const bool increased = pd.delay_s > topo_.edge(e).delay_s;
   topo_.edge(e).delay_s = pd.delay_s;
-
-  std::set<coding::SessionId> frozen;
-  if (increased) {
-    // Only sessions routed over e are affected; their path sets shrink.
-    frozen = all_session_ids();
-    for (coding::SessionId id : sessions_using_edge(e)) frozen.erase(id);
-  }
-  // A delay decrease expands every session's feasible path set, so nothing
-  // is frozen and all sessions may benefit.
-  SolveOptions opts;
-  opts.frozen_sessions = frozen;
-  opts.previous = &plan_;
-  opts.vnf_floor = current_deployment();
-  DeploymentPlan next = solve_with(opts);
-  if (next.feasible) apply_plan(std::move(next), now_s);
+  // An increase shrinks the path sets of the sessions routed over e only;
+  // a decrease expands every session's, so all of them may benefit.
+  apply_plan(solve_for(increased ? sessions_using_edge(e) : all_session_ids(),
+                       VnfRule::kFloor),
+             now_s);
 }
 
 // ---------------- failure handling ----------------
@@ -393,14 +350,7 @@ void Controller::resolve_after_failure(
     obs_->metrics.counter("ctrl.resolves").inc();
     obs_->trace.resolve(cause, affected.size());
   }
-  std::set<coding::SessionId> frozen = all_session_ids();
-  for (coding::SessionId id : affected) frozen.erase(id);
-  SolveOptions opts;
-  opts.frozen_sessions = frozen;
-  opts.previous = &plan_;
-  opts.vnf_floor = current_deployment();
-  DeploymentPlan next = solve_with(opts);
-  if (next.feasible) apply_plan(std::move(next), now_s);
+  apply_plan(solve_for(affected, VnfRule::kFloor), now_s);
 }
 
 void Controller::report_link_state(graph::EdgeIdx e, bool up, double now_s) {
@@ -484,22 +434,6 @@ void Controller::tick(double now_s) {
   for (auto& [v, pool] : pools_) {
     while (!pool.draining.empty() && pool.draining.front() <= now_s) {
       pool.draining.pop_front();
-    }
-  }
-  // Consolidation: if the plan needs fewer VNFs than are running at a DC,
-  // drain the excess (traffic re-steering happens implicitly because the
-  // plan's flow rates already fit the smaller pool).
-  if (scaling_enabled_) {
-    for (auto& [v, pool] : pools_) {
-      const auto it = plan_.vnf_count.find(v);
-      const int want = it == plan_.vnf_count.end() ? 0 : it->second;
-      while (pool.running > want) {
-        pool.draining.push_back(now_s + cfg_.tau_s);
-        emit(now_s, static_cast<std::uint32_t>(v),
-             NcVnfEnd{static_cast<std::uint32_t>(v), cfg_.tau_s});
-        --pool.running;
-      }
-      std::sort(pool.draining.begin(), pool.draining.end());
     }
   }
 }

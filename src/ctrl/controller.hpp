@@ -5,12 +5,14 @@
 // deployment plan, and the per-DC VNF pools. Implements the paper's
 // dynamic algorithms:
 //
-//   Alg. 1  Bandwidth variation — a per-VM bandwidth change > rho1 % that
-//           persists for tau1 triggers an incremental re-solve of (2) with
-//           unaffected sessions' flows frozen; scale-out happens only if
-//           the re-solved objective beats keeping the current deployment.
-//   Alg. 2  Delay changes — a link-delay change > rho2 % persisting for
-//           tau2 updates the feasible path sets and re-solves.
+//   Alg. 1  Bandwidth variation — a per-VM bandwidth change of more than
+//           5 % (the paper's rho1) that persists for tau1 triggers an
+//           incremental re-solve of (2) with unaffected sessions' flows
+//           frozen; scale-out happens only if the re-solved objective
+//           beats keeping the current deployment.
+//   Alg. 2  Delay changes — a link-delay change of more than 5 % (rho2)
+//           persisting for tau2 updates the feasible path sets and
+//           re-solves.
 //   Alg. 3  Session/receiver arrivals and departures — joins solve for the
 //           new demand only (existing flows frozen, deployment as floor);
 //           quits compare "grow flows into freed capacity" against
@@ -20,6 +22,11 @@
 // seconds and is reused in preference to launching a new VM if demand
 // returns — the paper measured VM launch at ~35 s versus ~376 ms for
 // starting a coding function on a live VM.
+//
+// Every decision re-solves (2) through solve_for(): the sessions it may
+// change are unfrozen, every other session keeps its flows, and the live
+// deployment is a floor, fixed, or free. A decision with two candidate
+// plans installs the better one.
 //
 // Every decision is exposed through a signal log (the NC_* messages of
 // Sec. III.A) so daemons — or tests — can replay exactly what the
@@ -49,13 +56,9 @@ class Controller {
  public:
   struct Config {
     double alpha = 20.0;  // Mbps-equivalent cost per VNF
-    double rho1 = 0.05;   // bandwidth-change threshold (fraction)
-    double rho2 = 0.05;   // delay-change threshold (fraction)
     double tau_s = 600.0;   // idle-VNF grace period before shutdown
     double tau1_s = 600.0;  // bandwidth-change persistence requirement
     double tau2_s = 600.0;  // delay-change persistence requirement
-    graph::PathSearchLimits path_limits;
-    int max_vnfs_per_dc = 64;
     /// Declare a data center down when its daemon heartbeat is older
     /// than this at tick() time. 0 disables liveness tracking.
     double heartbeat_timeout_s = 0.0;
@@ -107,9 +110,9 @@ class Controller {
     return down_nodes_.count(v) > 0;
   }
 
-  /// Periodic housekeeping: applies measurement changes that persisted past
-  /// tau1/tau2, expires draining VNFs, consolidates under-utilized ones,
-  /// and declares DCs with stale heartbeats down.
+  /// Periodic housekeeping: declares DCs with stale heartbeats down,
+  /// applies measurement changes that persisted past tau1/tau2, and
+  /// expires draining VNFs whose grace period ended.
   void tick(double now_s);
 
   // ---- Introspection ----
@@ -135,10 +138,12 @@ class Controller {
   }
   /// Forwarding table most recently pushed to a node (empty if none).
   [[nodiscard]] ForwardingTable forwarding_table(graph::NodeIdx node) const;
-
-  /// Disable/enable the scaling machinery (used by the Lmax sweep, which
-  /// the paper runs "disabling the scaling algorithm").
-  void set_scaling_enabled(bool enabled) { scaling_enabled_ = enabled; }
+  /// Sessions whose current plan touches data center v.
+  [[nodiscard]] std::set<coding::SessionId> sessions_using_dc(
+      graph::NodeIdx v) const;
+  /// Sessions whose current plan routes flow over edge e.
+  [[nodiscard]] std::set<coding::SessionId> sessions_using_edge(
+      graph::EdgeIdx e) const;
 
   /// Attach an observability hub (must outlive the controller): every
   /// emitted NC_* signal is counted per kind under
@@ -159,18 +164,23 @@ class Controller {
     double since_s;
   };
 
-  DeploymentPlan solve_with(const SolveOptions& opts) const;
-  /// Sessions whose current plan touches data center v.
-  [[nodiscard]] std::set<coding::SessionId> sessions_using_dc(
-      graph::NodeIdx v) const;
-  [[nodiscard]] std::set<coding::SessionId> sessions_using_edge(
-      graph::EdgeIdx e) const;
+  /// What a re-solve may do with the live deployment: only grow it
+  /// (scale-out), keep it as it is, or re-derive it (scale-in).
+  enum class VnfRule { kFloor, kFixed, kFree };
+
+  /// Re-solve (2) with every session outside `unfrozen` frozen at its
+  /// flows in the current plan.
+  [[nodiscard]] DeploymentPlan solve_for(
+      const std::set<coding::SessionId>& unfrozen, VnfRule rule) const;
   [[nodiscard]] std::set<coding::SessionId> all_session_ids() const;
   [[nodiscard]] std::map<graph::NodeIdx, int> current_deployment() const;
 
   /// Install `next` as the active plan: adjust pools (reuse draining VNFs,
   /// launch, or begin draining), emit NC_* signals, push table updates.
+  /// An infeasible plan leaves the active one in place.
   void apply_plan(DeploymentPlan next, double now_s);
+  /// Install `a` if it is feasible and its objective beats `b`'s, else `b`.
+  void apply_better(DeploymentPlan a, DeploymentPlan b, double now_s);
   void emit(double now_s, std::uint32_t target, Signal s);
   void apply_bandwidth_change(graph::NodeIdx v, const PendingBandwidth& pb,
                               double now_s);
@@ -194,7 +204,6 @@ class Controller {
   std::map<graph::NodeIdx, ForwardingTable> pushed_tables_;
   std::vector<LoggedSignal> signals_;
   obs::Observability* obs_ = nullptr;
-  bool scaling_enabled_ = true;
   int vm_launches_ = 0;
   int vm_reuses_ = 0;
 };

@@ -11,6 +11,7 @@ namespace ncfn::ctrl {
 namespace {
 
 constexpr double kRateEps = 1e-6;  // Mbps below this is "no flow"
+constexpr int kMaxVnfsPerDc = 64;  // sanity cap on x_v
 
 double mbps(double bps) {
   return std::isfinite(bps) ? bps / 1e6 : graph::kInf;
@@ -97,7 +98,7 @@ BuildResult build_lp(
   // cost keeps the deployment minimal instead of arbitrary.
   const double xcost = prob.alpha > 0 ? -prob.alpha : -1e-6;
   for (graph::NodeIdx v : topo.data_centers()) {
-    const int x = lp.add_var(xcost, static_cast<double>(prob.max_vnfs_per_dc));
+    const int x = lp.add_var(xcost, static_cast<double>(kMaxVnfsPerDc));
     vars.xvar[v] = x;
   }
 

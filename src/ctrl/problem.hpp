@@ -52,7 +52,6 @@ struct DeploymentProblem {
   std::vector<SessionSpec> sessions;
   double alpha = 20.0;  // Mbps-equivalent cost per deployed VNF
   graph::PathSearchLimits path_limits;
-  int max_vnfs_per_dc = 64;  // sanity cap on x_v
 };
 
 /// One conceptual-flow path with its solved rate.

@@ -19,12 +19,6 @@ class LossModel {
   virtual bool drop(std::mt19937& rng) = 0;
 };
 
-/// Never drops.
-class NoLoss final : public LossModel {
- public:
-  bool drop(std::mt19937&) override { return false; }
-};
-
 /// I.i.d. Bernoulli loss with fixed rate.
 class UniformLoss final : public LossModel {
  public:

@@ -105,8 +105,8 @@ void VnfDaemon::apply_settings(const ctrl::NcSettings& s) {
   }
 }
 
-void VnfDaemon::refetch_table() {
-  for (const auto& [session, hops] : table_.entries()) {
+void VnfDaemon::install(const ctrl::ForwardingTable& table) {
+  for (const auto& [session, hops] : table.entries()) {
     std::vector<NextHopRate> rates;
     rates.reserve(hops.size());
     for (const ctrl::NextHop& h : hops) rates.push_back(NextHopRate{h, 1.0});
@@ -124,7 +124,7 @@ void VnfDaemon::crash(std::optional<double> restart_after_s) {
   net_.sim().schedule(delay, [this, epoch] {
     if (crash_epoch_ != epoch) return;  // crashed again before this restart
     vnf_->restart();
-    refetch_table();
+    install(table_);
     running_ = true;
     ++stats_.vnf_starts;
     if (m_vnf_starts_ != nullptr) m_vnf_starts_->inc();
@@ -149,14 +149,7 @@ void VnfDaemon::apply_table(const ctrl::NcForwardTab& t) {
   }
   table_ = t.table;
   net_.sim().schedule(cost, [this, tab = t.table] {
-    for (const auto& [session, hops] : tab.entries()) {
-      std::vector<NextHopRate> rates;
-      rates.reserve(hops.size());
-      for (const ctrl::NextHop& h : hops) {
-        rates.push_back(NextHopRate{h, 1.0});
-      }
-      vnf_->set_next_hops(session, std::move(rates));
-    }
+    install(tab);
     vnf_->resume();
   });
 }

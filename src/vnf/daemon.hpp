@@ -91,7 +91,8 @@ class VnfDaemon {
   void on_control_datagram(const netsim::Datagram& d);
   void apply_settings(const ctrl::NcSettings& s);
   void apply_table(const ctrl::NcForwardTab& t);
-  void refetch_table();
+  /// Hand every entry of `table` to the coding function as next hops.
+  void install(const ctrl::ForwardingTable& table);
   void probe_round();
   void heartbeat_round();
 

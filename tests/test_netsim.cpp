@@ -465,12 +465,6 @@ TEST(Loss, UniformRateIsStatisticallyCorrect) {
   EXPECT_NEAR(static_cast<double>(drops) / n, 0.3, 0.02);
 }
 
-TEST(Loss, NoLossNeverDrops) {
-  std::mt19937 rng(1);
-  NoLoss loss;
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(loss.drop(rng));
-}
-
 TEST(Loss, BurstStationaryRateNearPaperFormula) {
   // P_n = 0.25 P_{n-1} + P converges to P / 0.75 when drops are rare.
   std::mt19937 rng(7);

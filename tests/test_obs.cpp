@@ -2,7 +2,8 @@
 // cases, the trace determinism contract (two same-seed runs must be
 // byte-identical), golden-trace regression for two end-to-end scenarios
 // and the Direct-TCP baseline, golden controller plans under churn (the
-// LP answers, bit for bit), and the zero-allocation guarantee of the
+// LP answers, bit for bit) and along every decision path (with the VNF
+// pools and NC_* signals), and the zero-allocation guarantee of the
 // instrumented hot path.
 //
 // Golden files live in tests/golden/. After an *intentional* behaviour
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <random>
 #include <set>
 #include <sstream>
@@ -444,11 +446,9 @@ TEST(GoldenTrace, DirectTcp) { check_golden("trace_tcp.jsonl", run_tcp(3)); }
 // Golden controller plans under churn: the LP answers, bit for bit
 // ---------------------------------------------------------------------------
 
-/// One line per decision: the LP statuses, the objective and VNF count,
-/// and a 64-bit FNV-1a digest of every lambda, edge rate and path rate,
-/// all in exact %a form.
-std::string plan_line(std::size_t i, const char* op,
-                      const ctrl::DeploymentPlan& plan) {
+/// A 64-bit FNV-1a digest of every lambda, edge rate and path rate of a
+/// plan, all in exact %a form.
+unsigned long long rates_digest(const ctrl::DeploymentPlan& plan) {
   std::uint64_t digest = 0xcbf29ce484222325ULL;
   auto mix = [&digest](double v) {
     char buf[40];
@@ -468,12 +468,19 @@ std::string plan_line(std::size_t i, const char* op,
       for (const ctrl::PathRate& pr : receiver) mix(pr.rate_mbps);
     }
   }
+  return static_cast<unsigned long long>(digest);
+}
+
+/// One line per decision: the LP statuses, the objective and VNF count,
+/// and the rates digest.
+std::string plan_line(std::size_t i, const char* op,
+                      const ctrl::DeploymentPlan& plan) {
   char line[200];
   std::snprintf(line, sizeof line,
                 "%3zu %-7s relax=%s final=%s obj=%a vnfs=%d rates=%016llx\n",
                 i, op, lp::status_name(plan.relax_status),
                 lp::status_name(plan.final_status), plan.objective,
-                plan.total_vnfs(), static_cast<unsigned long long>(digest));
+                plan.total_vnfs(), rates_digest(plan));
   return line;
 }
 
@@ -537,6 +544,157 @@ std::string run_churn_plans(std::uint32_t seed, std::size_t decisions) {
 
 TEST(GoldenPlans, ControllerChurn) {
   check_golden("plans_churn.txt", run_churn_plans(11, 120));
+}
+
+// Every controller decision path on the same overlay: joins and quits
+// (down to no live session), receiver churn (the last receiver's quit
+// ends its session), Alg. 1 bandwidth reports, Alg. 2 delay increases on
+// a planned edge and decreases anywhere, a planned DC-DC edge failing and
+// recovering, and a data center whose heartbeats stop until tick()
+// declares it down and a later heartbeat revives it. One line per
+// decision: the plan, the VNF pools and the NC_* signals it emitted.
+// After every decision the running pools match the plan's x_v while every
+// DC is up (a crashed DC's pool is gone, so then they hold at most that).
+std::string run_decision_paths(std::uint32_t seed, std::size_t decisions) {
+  app::scenarios::SixDcParams params;
+  params.hosts_per_region = 16;
+  const auto net = app::scenarios::six_datacenters(params);
+  ctrl::Controller::Config cfg;
+  cfg.tau1_s = 0.0;  // bandwidth and delay reports apply at the next tick
+  cfg.tau2_s = 0.0;
+  cfg.heartbeat_timeout_s = 150.0;  // down after three silent decisions
+  ctrl::Controller ctl(net.topo, cfg);
+  std::mt19937 rng(seed);
+  std::set<graph::NodeIdx> used;
+  coding::SessionId next_id = 1;
+  graph::EdgeIdx failed = -1;  // the planned edge taken down, if any
+  graph::NodeIdx silent = -1;  // the DC whose heartbeats are withheld
+  const auto dc_pair = [&net](graph::EdgeIdx e) {
+    const graph::EdgeInfo& ei = net.topo.edge(e);
+    return net.topo.node(ei.from).kind == graph::NodeKind::kDataCenter &&
+           net.topo.node(ei.to).kind == graph::NodeKind::kDataCenter;
+  };
+  std::string out;
+  for (std::size_t i = 0; i < decisions; ++i) {
+    const double now = 60.0 * static_cast<double>(i + 1);
+    const std::size_t signals_before = ctl.signal_log().size();
+    const std::vector<ctrl::SessionSpec>& live = ctl.sessions();
+    std::vector<graph::EdgeIdx> planned;  // edges carrying flow, in order
+    for (const auto& rates : ctl.plan().edge_rate_mbps) {
+      for (const auto& [e, rate] : rates) planned.push_back(e);
+    }
+    const unsigned roll = rng() % 16;
+    const char* op = "idle";
+    if (live.empty() || (live.size() < 4 && roll < 2)) {
+      op = "join";
+      ctl.add_session(
+          app::scenarios::random_session(net, next_id++, rng, 0.150, &used),
+          now);
+    } else if (roll < 5) {
+      op = "quit";
+      const ctrl::SessionSpec s = live[rng() % live.size()];
+      used.erase(s.source);
+      for (const graph::NodeIdx h : s.receivers) used.erase(h);
+      ctl.remove_session(s.id, now);
+    } else if (roll < 7) {
+      op = "rx-join";
+      const coding::SessionId id = live[rng() % live.size()].id;
+      graph::NodeIdx h = net.hosts[rng() % net.hosts.size()];
+      while (used.count(h) != 0) h = net.hosts[rng() % net.hosts.size()];
+      used.insert(h);
+      ctl.add_receiver(id, h, now);
+    } else if (roll < 8) {
+      op = "rx-quit";
+      const ctrl::SessionSpec s = live[rng() % live.size()];
+      const graph::NodeIdx h = s.receivers[rng() % s.receivers.size()];
+      if (s.receivers.size() == 1) used.erase(s.source);
+      used.erase(h);
+      ctl.remove_receiver(s.id, h, now);
+    } else if (roll < 10) {
+      op = "bw";
+      const graph::NodeIdx dc = net.dcs[rng() % net.dcs.size()];
+      const bool low_in = rng() % 2 == 0;
+      ctl.report_bandwidth(dc, low_in ? 300e6 : 500e6,
+                           low_in ? 500e6 : 300e6, now);
+    } else if (roll < 11 && !planned.empty()) {
+      op = "delay+";
+      const graph::EdgeIdx e = planned[rng() % planned.size()];
+      ctl.report_delay(e, ctl.topology().edge(e).delay_s * 1.5, now);
+    } else if (roll < 12) {
+      op = "delay-";
+      std::vector<graph::EdgeIdx> slowed;
+      for (graph::EdgeIdx e = 0; e < net.topo.edge_count(); ++e) {
+        if (ctl.topology().edge(e).delay_s > net.topo.edge(e).delay_s) {
+          slowed.push_back(e);
+        }
+      }
+      if (!slowed.empty()) {
+        const graph::EdgeIdx e = slowed[rng() % slowed.size()];
+        ctl.report_delay(e, net.topo.edge(e).delay_s, now);
+      } else {
+        const auto edges = static_cast<unsigned>(net.topo.edge_count());
+        auto e = static_cast<graph::EdgeIdx>(rng() % edges);
+        while (!dc_pair(e)) e = static_cast<graph::EdgeIdx>(rng() % edges);
+        ctl.report_delay(e, ctl.topology().edge(e).delay_s * 0.8, now);
+      }
+    } else if (roll < 13 && failed >= 0) {
+      op = "link-up";
+      ctl.report_link_state(failed, true, now);
+      failed = -1;
+    } else if (roll < 13) {
+      op = "link-dn";
+      std::vector<graph::EdgeIdx> candidates;
+      for (const graph::EdgeIdx e : planned) {
+        if (dc_pair(e) && ctl.topology().edge(e).up) candidates.push_back(e);
+      }
+      if (!candidates.empty()) {
+        failed = candidates[rng() % candidates.size()];
+        ctl.report_link_state(failed, false, now);
+      }
+    } else if (roll < 14 && silent >= 0) {
+      op = "hb-back";
+      silent = -1;
+    } else if (roll < 14) {
+      op = "hb-stop";
+      silent = net.dcs[rng() % net.dcs.size()];
+    }
+    for (const graph::NodeIdx dc : net.dcs) {
+      if (dc != silent) ctl.heartbeat(dc, now);
+    }
+    ctl.tick(now);
+
+    int down = 0;
+    for (const graph::NodeIdx dc : net.dcs) down += ctl.node_down(dc) ? 1 : 0;
+    if (down == 0) {
+      EXPECT_EQ(ctl.running_vnfs(), ctl.plan().total_vnfs()) << "decision " << i;
+    } else {
+      EXPECT_LE(ctl.running_vnfs(), ctl.plan().total_vnfs()) << "decision " << i;
+    }
+    std::map<std::string, int> emitted;
+    const auto& log = ctl.signal_log();
+    for (std::size_t k = signals_before; k < log.size(); ++k) {
+      ++emitted[ctrl::signal_name(log[k].signal)];
+    }
+    char line[256];
+    std::snprintf(line, sizeof line,
+                  "%3zu %-7s sessions=%zu down=%d obj=%a vnfs=%d "
+                  "rates=%016llx run=%d drain=%d launch=%d reuse=%d "
+                  "resolves=%d",
+                  i, op, ctl.sessions().size(), down, ctl.plan().objective,
+                  ctl.plan().total_vnfs(), rates_digest(ctl.plan()),
+                  ctl.running_vnfs(), ctl.draining_vnfs(), ctl.vm_launches(),
+                  ctl.vm_reuses(), ctl.resolves());
+    out += line;
+    for (const auto& [kind, n] : emitted) {
+      out += " " + kind + "=" + std::to_string(n);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(GoldenPlans, EveryDecisionPath) {
+  check_golden("decisions_churn.txt", run_decision_paths(5, 160));
 }
 
 }  // namespace

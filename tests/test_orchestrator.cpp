@@ -111,7 +111,6 @@ TEST(Orchestrator, ProbeLoopFeedsDelayChangesIntoController) {
   auto cfg = base_config();
   cfg.probe_interval_s = 100.0;
   cfg.controller.tau2_s = 150.0;
-  cfg.controller.rho2 = 0.05;
   SimNet sim(net.topo);
   Orchestrator orch(sim, cfg);
   ASSERT_TRUE(orch.add_session(make_session(net, 1, 0, {25, 35})));
