@@ -56,7 +56,6 @@ double run_with_lanes(std::size_t lanes) {
 
   app::ReceiverConfig rcfg;
   rcfg.session = 1;
-  rcfg.params = params;
   rcfg.data_port = scfg.data_port;
   rcfg.source_node = src;
   rcfg.source_feedback_port = scfg.feedback_port;

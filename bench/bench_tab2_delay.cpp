@@ -84,7 +84,6 @@ ChainResult run_chain(bool with_coding, double feedback_jitter_s) {
 
   app::ReceiverConfig rcfg;
   rcfg.session = 1;
-  rcfg.params = params;
   rcfg.data_port = scfg.data_port;
   rcfg.source_node = v1;
   rcfg.source_feedback_port = scfg.feedback_port;

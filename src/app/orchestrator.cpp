@@ -8,6 +8,14 @@
 
 namespace ncfn::app {
 
+namespace {
+/// One-way delay and capacity of the controller <-> DC control links.
+constexpr double kControlLinkDelayS = 0.040;
+constexpr double kControlLinkBps = 100e6;
+/// Port the controller node receives heartbeats on.
+constexpr netsim::Port kHeartbeatPort = 101;
+}  // namespace
+
 Orchestrator::Orchestrator(SimNet& sim, const Config& cfg)
     : sim_(sim), cfg_(cfg), ctl_(sim.topo(), cfg.controller) {
   ctl_.set_obs(&sim_.obs());
@@ -15,8 +23,8 @@ Orchestrator::Orchestrator(SimNet& sim, const Config& cfg)
   ctl_node_ = net.add_node("controller");
 
   netsim::LinkConfig lc;
-  lc.capacity_bps = cfg_.control_link_bps;
-  lc.prop_delay = cfg_.control_link_delay_s;
+  lc.capacity_bps = kControlLinkBps;
+  lc.prop_delay = kControlLinkDelayS;
 
   for (graph::NodeIdx dc : sim_.topo().data_centers()) {
     net.add_link(ctl_node_, static_cast<netsim::NodeId>(dc), lc);
@@ -39,11 +47,11 @@ Orchestrator::Orchestrator(SimNet& sim, const Config& cfg)
     daemons_.emplace(dc, std::move(daemon));
   }
   if (cfg_.heartbeat_interval_s > 0) {
-    net.bind(ctl_node_, cfg_.heartbeat_port,
+    net.bind(ctl_node_, kHeartbeatPort,
              [this](const netsim::Datagram& d) { on_heartbeat(d); });
     hb_bound_ = true;
     for (auto& [dc, daemon] : daemons_) {
-      daemon->start_heartbeats(ctl_node_, cfg_.heartbeat_port,
+      daemon->start_heartbeats(ctl_node_, kHeartbeatPort,
                                cfg_.heartbeat_interval_s);
     }
   }
@@ -51,7 +59,7 @@ Orchestrator::Orchestrator(SimNet& sim, const Config& cfg)
 }
 
 Orchestrator::~Orchestrator() {
-  if (hb_bound_) sim_.net().unbind(ctl_node_, cfg_.heartbeat_port);
+  if (hb_bound_) sim_.net().unbind(ctl_node_, kHeartbeatPort);
 }
 
 void Orchestrator::on_heartbeat(const netsim::Datagram& d) {

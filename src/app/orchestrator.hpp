@@ -27,19 +27,14 @@ class Orchestrator {
   struct Config {
     ctrl::Controller::Config controller;
     vnf::DaemonConfig daemon;
-    /// One-way delay of the controller <-> DC control links.
-    double control_link_delay_s = 0.040;
-    double control_link_bps = 100e6;
     /// Period of the daemons' ping probes (0 = no probes).
     double probe_interval_s = 600.0;
     /// Period of the controller's housekeeping tick (0 = manual).
     double tick_interval_s = 600.0;
-    /// Period of the daemons' liveness beacons (0 = no heartbeats). The
-    /// controller listens on heartbeat_port; pair with a nonzero
-    /// controller.heartbeat_timeout_s so stale DCs are declared down at
-    /// tick() time.
+    /// Period of the daemons' liveness beacons (0 = no heartbeats); pair
+    /// with a nonzero controller.heartbeat_timeout_s so stale DCs are
+    /// declared down at tick() time.
     double heartbeat_interval_s = 0.0;
-    netsim::Port heartbeat_port = 101;
   };
 
   /// Builds daemons on every data center of `sim` and a controller node

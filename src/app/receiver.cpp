@@ -10,19 +10,16 @@ McReceiver::McReceiver(netsim::Network& net, netsim::NodeId node,
                        const GenerationProvider& provider,
                        const ReceiverConfig& cfg)
     : net_(net), node_(node), provider_(provider), cfg_(cfg) {
-  if (obs::Observability* obs = net_.obs()) {
-    m_generations_decoded_ = &obs->metrics.counter("app.generations_decoded");
-    m_payload_bytes_ = &obs->metrics.counter("app.payload_bytes");
-    m_repair_requests_ = &obs->metrics.counter("app.repair_requests_sent");
-    m_verify_failures_ = &obs->metrics.counter("app.verify_failures");
-    // Recovery latency spans sub-second re-routes up to repair-loop-bound
-    // multi-second rebuilds.
-    static constexpr double kRecoveryBounds[] = {0.1, 0.25, 0.5, 1.0,
-                                                 2.5,  5.0, 10.0};
-    m_recovery_s_ = &obs->metrics.histogram("app.recovery_time_s",
-                                            kRecoveryBounds);
-  }
-  cfg_.vnf.params = cfg_.params;
+  obs::MetricsRegistry& metrics = net_.obs()->metrics;
+  m_generations_decoded_ = &metrics.counter("app.generations_decoded");
+  m_payload_bytes_ = &metrics.counter("app.payload_bytes");
+  m_repair_requests_ = &metrics.counter("app.repair_requests_sent");
+  m_verify_failures_ = &metrics.counter("app.verify_failures");
+  // Recovery latency spans sub-second re-routes up to repair-loop-bound
+  // multi-second rebuilds.
+  static constexpr double kRecoveryBounds[] = {0.1, 0.25, 0.5, 1.0,
+                                               2.5,  5.0, 10.0};
+  m_recovery_s_ = &metrics.histogram("app.recovery_time_s", kRecoveryBounds);
   vnf_ = std::make_unique<vnf::CodingVnf>(net_, node_, cfg_.vnf);
   vnf_->configure_session(cfg_.session, ctrl::VnfRole::kDecode,
                           cfg_.data_port);
@@ -94,13 +91,13 @@ void McReceiver::arm_repair_timer(coding::GenerationId gen) {
     if (it == progress_.end()) return;  // decoded meanwhile
     it->second.timer_armed = false;
     if (decoded_.count(gen) > 0) return;
-    if (it->second.repair_rounds >= cfg_.max_repair_rounds) return;
+    if (it->second.repair_rounds >= kMaxRepairRounds) return;
     ++it->second.repair_rounds;
 
     // How much is still missing?
     std::size_t rank = 0;
     std::uint64_t have_mask = 0;
-    const std::size_t g = cfg_.params.generation_blocks;
+    const std::size_t g = cfg_.vnf.params.generation_blocks;
     if (auto* d = vnf_->find_decoder(cfg_.session, gen)) {
       rank = d->rank();
       for (std::size_t c = 0; c < g && c < 64; ++c) {
@@ -131,7 +128,7 @@ void McReceiver::arm_repair_timer(coding::GenerationId gen) {
     d.payload = fb.serialize();
     if (net_.send(std::move(d))) {
       ++stats_.repair_requests_sent;
-      if (m_repair_requests_ != nullptr) m_repair_requests_->inc();
+      m_repair_requests_->inc();
     }
     arm_repair_timer(gen);  // keep retrying until decoded or capped
   });
@@ -147,21 +144,19 @@ void McReceiver::on_generation_decoded(
 
   if (disruption_at_ >= 0) {
     stats_.last_recovery_s = net_.sim().now() - disruption_at_;
-    if (m_recovery_s_ != nullptr) m_recovery_s_->record(stats_.last_recovery_s);
+    m_recovery_s_->record(stats_.last_recovery_s);
     disruption_at_ = -1;
   }
 
   // Unpadded byte count of this generation.
-  const std::size_t gen_bytes = cfg_.params.generation_bytes();
+  const std::size_t gen_bytes = cfg_.vnf.params.generation_bytes();
   const std::size_t total = provider_.total_bytes();
   const std::size_t off = static_cast<std::size_t>(gen) * gen_bytes;
   const std::size_t n = off < total ? std::min(gen_bytes, total - off) : 0;
   stats_.payload_bytes += n;
   ++stats_.generations_decoded;
-  if (m_generations_decoded_ != nullptr) {
-    m_generations_decoded_->inc();
-    m_payload_bytes_->inc(n);
-  }
+  m_generations_decoded_->inc();
+  m_payload_bytes_->inc(n);
 
   // Both the check and the reassembly take each block's unpadded bytes,
   // the first n of the generation, a block at a time.
@@ -177,7 +172,7 @@ void McReceiver::on_generation_decoded(
     }
     if (!ok) {
       ++stats_.verify_failures;
-      if (m_verify_failures_ != nullptr) m_verify_failures_->inc();
+      m_verify_failures_->inc();
     }
   }
 

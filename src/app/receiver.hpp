@@ -24,19 +24,22 @@
 
 namespace ncfn::app {
 
+/// Repair requests a receiver sends per generation before it gives up
+/// on that generation.
+inline constexpr int kMaxRepairRounds = 64;
+
 struct ReceiverConfig {
   coding::SessionId session = 1;
-  coding::CodingParams params;
   netsim::Port data_port = 20001;
   /// Source endpoint for repair requests / ACKs.
   std::uint32_t source_node = 0;
   netsim::Port source_feedback_port = 40001;
   bool enable_repair = true;
   double repair_timeout_s = 0.25;  // from first packet of a generation
-  int max_repair_rounds = 64;
   /// Periodic throughput sampling interval (0 = no time series).
   double sample_interval_s = 0.0;
-  vnf::VnfConfig vnf;  // processing model for the decode function
+  /// Coding parameters and processing model of the decode function.
+  vnf::VnfConfig vnf;
 };
 
 struct ReceiverStats {
@@ -122,7 +125,7 @@ class McReceiver {
   coding::GenerationId next_ordered_ = 0;
   std::map<coding::GenerationId, std::vector<std::uint8_t>> held_back_;
   netsim::Time disruption_at_ = -1;
-  // Cached registry handles (null without a hub on the network).
+  // Cached registry handles into the network's hub.
   obs::Counter* m_generations_decoded_ = nullptr;
   obs::Counter* m_payload_bytes_ = nullptr;
   obs::Counter* m_repair_requests_ = nullptr;

@@ -11,12 +11,15 @@
 
 namespace ncfn::app {
 
+namespace {
+/// Capacity given to topology edges with infinite capacity_bps.
+constexpr double kUncappedEdgeBps = 10e9;
+/// Egress queue limit of every topology link.
+constexpr std::size_t kLinkQueuePackets = 1024;
+}  // namespace
+
 SimNet::SimNet(const graph::Topology& topo, const SimNetConfig& cfg)
-    : obs_(std::make_unique<obs::Observability>()),
-      topo_(&topo),
-      net_(cfg.seed) {
-  obs_->trace.set_clock([sim = &net_.sim()] { return sim->now(); });
-  net_.set_obs(obs_.get());
+    : topo_(&topo), net_(cfg.seed) {
   for (int i = 0; i < topo.node_count(); ++i) {
     const netsim::NodeId id = net_.add_node(topo.node(i).name);
     assert(id == static_cast<netsim::NodeId>(i));
@@ -25,10 +28,10 @@ SimNet::SimNet(const graph::Topology& topo, const SimNetConfig& cfg)
   for (int e = 0; e < topo.edge_count(); ++e) {
     const graph::EdgeInfo& ei = topo.edge(e);
     netsim::LinkConfig lc;
-    lc.capacity_bps = std::isfinite(ei.capacity_bps) ? ei.capacity_bps
-                                                     : cfg.default_capacity_bps;
+    lc.capacity_bps =
+        std::isfinite(ei.capacity_bps) ? ei.capacity_bps : kUncappedEdgeBps;
     lc.prop_delay = ei.delay_s;
-    lc.queue_packets = cfg.queue_packets;
+    lc.queue_packets = kLinkQueuePackets;
     net_.add_link(static_cast<netsim::NodeId>(ei.from),
                   static_cast<netsim::NodeId>(ei.to), lc);
   }
@@ -108,11 +111,9 @@ void MulticastSession::add_receivers(SimNet& sim,
   for (graph::NodeIdx r : spec.receivers) {
     ReceiverConfig rcfg;
     rcfg.session = spec.id;
-    rcfg.params = wiring.vnf.params;
     rcfg.data_port = ctrl::session_data_port(spec.id);
     rcfg.source_node = static_cast<std::uint32_t>(sim.node(spec.source));
     rcfg.source_feedback_port = session_feedback_port(spec.id);
-    rcfg.enable_repair = wiring.enable_repair;
     rcfg.repair_timeout_s = wiring.repair_timeout_s;
     rcfg.sample_interval_s = wiring.sample_interval_s;
     rcfg.vnf = wiring.vnf;

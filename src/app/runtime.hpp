@@ -28,9 +28,6 @@
 namespace ncfn::app {
 
 struct SimNetConfig {
-  /// Capacity used for topology edges with infinite capacity_bps.
-  double default_capacity_bps = 10e9;
-  std::size_t queue_packets = 1024;
   std::uint32_t seed = 1;
 };
 
@@ -52,12 +49,12 @@ class SimNet {
   SimNet& operator=(const SimNet&) = delete;
 
   [[nodiscard]] netsim::Network& net() { return net_; }
-  /// Observability hub shared by every layer of this simulated cloud.
-  /// Metrics are always collected; the event trace is off until
-  /// trace().enable() — both stamped with the simulator clock.
-  [[nodiscard]] obs::Observability& obs() { return *obs_; }
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return obs_->metrics; }
-  [[nodiscard]] obs::EventTrace& trace() { return obs_->trace; }
+  /// The network's observability hub, shared by every layer of this
+  /// simulated cloud. Metrics are always collected; the event trace is
+  /// off until trace().enable() — both stamped with the simulator clock.
+  [[nodiscard]] obs::Observability& obs() { return *net_.obs(); }
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return obs().metrics; }
+  [[nodiscard]] obs::EventTrace& trace() { return obs().trace; }
   [[nodiscard]] const graph::Topology& topo() const { return *topo_; }
   [[nodiscard]] netsim::NodeId node(graph::NodeIdx i) const {
     return static_cast<netsim::NodeId>(i);
@@ -69,9 +66,6 @@ class SimNet {
   [[nodiscard]] vnf::CodingVnf* find_vnf(graph::NodeIdx node);
 
  private:
-  // Declared first so it outlives the network, links, and VNFs that cache
-  // raw handles into it.
-  std::unique_ptr<obs::Observability> obs_;
   const graph::Topology* topo_;
   netsim::Network net_;
   std::map<graph::NodeIdx, std::unique_ptr<vnf::CodingVnf>> vnfs_;
@@ -80,7 +74,6 @@ class SimNet {
 /// Per-session wiring options shared by both transport modes.
 struct SessionWiring {
   int redundancy = 0;  // NC0/NC1/NC2
-  bool enable_repair = true;
   double repair_timeout_s = 0.25;
   double sample_interval_s = 1.0;
   /// Snap the plan's flows to whole packets per generation before wiring

@@ -15,13 +15,10 @@ McSource::McSource(netsim::Network& net, netsim::NodeId node,
                    const GenerationProvider& provider,
                    const SourceConfig& cfg)
     : net_(net), node_(node), provider_(provider), cfg_(cfg), rng_(cfg.seed) {
-  if (obs::Observability* obs = net_.obs()) {
-    m_packets_sent_ = &obs->metrics.counter("app.packets_sent");
-    m_repair_packets_sent_ =
-        &obs->metrics.counter("app.repair_packets_sent");
-    m_repair_requests_ =
-        &obs->metrics.counter("app.repair_requests_received");
-  }
+  obs::MetricsRegistry& metrics = net_.obs()->metrics;
+  m_packets_sent_ = &metrics.counter("app.packets_sent");
+  m_repair_packets_sent_ = &metrics.counter("app.repair_packets_sent");
+  m_repair_requests_ = &metrics.counter("app.repair_requests_received");
   net_.bind(node_, cfg_.feedback_port,
             [this](const netsim::Datagram& d) { on_feedback(d); });
 }
@@ -85,14 +82,11 @@ void McSource::reconfigure_hops(
 }
 
 void McSource::configure_trees(const graph::Topology& topo,
-                               std::vector<MulticastTree> trees,
-                               netsim::Port data_port_override) {
+                               std::vector<MulticastTree> trees) {
   tree_mode_ = true;
   trees_ = std::move(trees);
   schedule_ = tree_schedule(trees_);
   pacers_.clear();
-  const netsim::Port port =
-      data_port_override != 0 ? data_port_override : cfg_.data_port;
   const auto& p = cfg_.params;
   for (std::size_t j = 0; j < trees_.size(); ++j) {
     Pacer pacer;
@@ -102,7 +96,7 @@ void McSource::configure_trees(const graph::Topology& topo,
     for (graph::NodeIdx hop :
          trees_[j].next_hops(topo, static_cast<graph::NodeIdx>(node_))) {
       pacer.hops.push_back(
-          ctrl::NextHop{static_cast<std::uint32_t>(hop), port});
+          ctrl::NextHop{static_cast<std::uint32_t>(hop), cfg_.data_port});
     }
     pacer.interval_s =
         static_cast<double>(p.block_size) * 8.0 / (trees_[j].rate_mbps * 1e6);
@@ -174,10 +168,10 @@ void McSource::send_packet(Pacer& p, const coding::CodedPacket& pkt,
     pkt.serialize_into(d.payload);
     if (net_.send(std::move(d))) {
       ++stats_.packets_sent;
-      if (m_packets_sent_ != nullptr) m_packets_sent_->inc();
+      m_packets_sent_->inc();
       if (repair) {
         ++stats_.repair_packets_sent;
-        if (m_repair_packets_sent_ != nullptr) m_repair_packets_sent_->inc();
+        m_repair_packets_sent_->inc();
       }
     }
   }
@@ -281,7 +275,7 @@ void McSource::on_feedback(const netsim::Datagram& d) {
   }
 
   ++stats_.repair_requests;
-  if (m_repair_requests_ != nullptr) m_repair_requests_->inc();
+  m_repair_requests_->inc();
   if (pacers_.empty()) return;
 
   if (tree_mode_) {

@@ -79,8 +79,7 @@ class McSource {
   /// Non-NC mode: packed trees; this node's root hops are derived from
   /// each tree's edges.
   void configure_trees(const graph::Topology& topo,
-                       std::vector<MulticastTree> trees,
-                       netsim::Port data_port_override = 0);
+                       std::vector<MulticastTree> trees);
 
   void start();
 
@@ -139,7 +138,7 @@ class McSource {
   netsim::Time first_gen_sent_at_ = -1;
   std::size_t repair_rr_ = 0;
   SourceStats stats_;
-  // Cached registry handles (null without a hub on the network).
+  // Cached registry handles into the network's hub.
   obs::Counter* m_packets_sent_ = nullptr;
   obs::Counter* m_repair_packets_sent_ = nullptr;
   obs::Counter* m_repair_requests_ = nullptr;

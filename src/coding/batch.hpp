@@ -107,19 +107,6 @@ class PacketBatch {
     n_ = 0;
   }
 
-  /// Partial flush: release the first `k` packets and slide the rest to
-  /// the front, preserving arrival order.
-  void drop_front(std::size_t k) {
-    assert(k <= n_);
-    if (k == 0) return;
-    for (std::size_t i = k; i < n_; ++i) {
-      slots_[i - k] = std::move(slots_[i]);
-      meta_[i - k] = meta_[i];
-    }
-    for (std::size_t i = n_ - k; i < n_; ++i) slots_[i] = CodedPacket{};
-    n_ -= k;
-  }
-
  private:
   std::array<CodedPacket, kBatchCapacity> slots_;
   std::array<std::uint8_t, kBatchCapacity> meta_{};

@@ -23,8 +23,12 @@ namespace ncfn::coding {
 
 class GenerationBuffer {
  public:
-  explicit GenerationBuffer(const CodingParams& params)
-      : params_(params), pool_(PacketPool::make()) {}
+  /// Generation open/close/evict events, the shared coding counters
+  /// (threaded into every decoder) and this buffer's occupancy gauge go
+  /// to `obs`, namespaced by the hosting `node`. The hub must outlive
+  /// the buffer.
+  GenerationBuffer(const CodingParams& params, obs::Observability& obs,
+                   std::uint32_t node);
 
   /// Decoder state for (session, generation), creating it (and possibly
   /// evicting the session's oldest generation) if absent.
@@ -32,9 +36,6 @@ class GenerationBuffer {
 
   /// Existing state or nullptr; never creates.
   [[nodiscard]] Decoder* find(SessionId session, GenerationId generation);
-
-  /// Drop one generation's state (e.g., after the decoder delivered it).
-  void erase(SessionId session, GenerationId generation);
 
   /// Drop everything belonging to a session (session teardown).
   void erase_session(SessionId session);
@@ -50,12 +51,6 @@ class GenerationBuffer {
   /// Shared packet pool: decoder rows and recoded/parsed packets for this
   /// buffer's sessions all recycle through here.
   [[nodiscard]] const PacketPool& pool() const { return pool_; }
-
-  /// Attach observability: generation open/close/evict events, the shared
-  /// coding counters (threaded into every decoder) and this buffer's
-  /// occupancy gauge, namespaced by the hosting node. nullptr detaches
-  /// for decoders created from then on.
-  void set_obs(obs::Observability* obs, std::uint32_t node);
 
  private:
   struct Key {
@@ -73,7 +68,6 @@ class GenerationBuffer {
   CodingParams params_;
   PacketPool pool_;
   CodingObs obs_handles_;  // decoders hold a pointer to this
-  bool has_obs_ = false;
   obs::Gauge* m_buffered_ = nullptr;
   std::unordered_map<Key, std::unique_ptr<Decoder>, KeyHash> states_;
   std::unordered_map<SessionId, std::deque<GenerationId>> fifo_;  // per-session arrival order

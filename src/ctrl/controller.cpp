@@ -353,10 +353,23 @@ void Controller::resolve_after_failure(
   apply_plan(solve_for(affected, VnfRule::kFloor), now_s);
 }
 
-void Controller::report_link_state(graph::EdgeIdx e, bool up, double now_s) {
+bool Controller::refresh_edge(graph::EdgeIdx e) {
   graph::EdgeInfo& ei = topo_.edge(e);
-  if (ei.up == up) return;
-  ei.up = up;
+  const bool usable = down_edges_.count(e) == 0 &&
+                      down_nodes_.count(ei.from) == 0 &&
+                      down_nodes_.count(ei.to) == 0;
+  if (ei.up == usable) return false;
+  ei.up = usable;
+  return true;
+}
+
+void Controller::report_link_state(graph::EdgeIdx e, bool up, double now_s) {
+  if (up) {
+    down_edges_.erase(e);
+  } else {
+    down_edges_.insert(e);
+  }
+  if (!refresh_edge(e)) return;
   if (!up) {
     // Only sessions routed over the failed edge need new flows; the
     // feasible-path sets they re-solve against exclude the edge now.
@@ -385,8 +398,8 @@ void Controller::report_node_state(graph::NodeIdx v, bool up, double now_s) {
     affected = all_session_ids();
   }
   for (graph::EdgeIdx e = 0; e < topo_.edge_count(); ++e) {
-    graph::EdgeInfo& ei = topo_.edge(e);
-    if (ei.from == v || ei.to == v) ei.up = up;
+    const graph::EdgeInfo& ei = topo_.edge(e);
+    if (ei.from == v || ei.to == v) refresh_edge(e);
   }
   resolve_after_failure(affected, up ? "node_up" : "node_down", now_s);
 }

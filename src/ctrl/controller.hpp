@@ -101,6 +101,9 @@ class Controller {
   void report_link_state(graph::EdgeIdx e, bool up, double now_s);
   /// Machine-level failure: every edge incident to v fails with it and
   /// the DC's VNF pool is lost (crashed VMs do not drain gracefully).
+  /// Link and node reports are kept apart: an edge is usable only while
+  /// its own link is up and neither end is down, so reviving a node
+  /// leaves a separately failed link down.
   void report_node_state(graph::NodeIdx v, bool up, double now_s);
   /// Daemon liveness report. A heartbeat from a down DC revives it.
   void heartbeat(graph::NodeIdx v, double now_s);
@@ -186,6 +189,9 @@ class Controller {
                               double now_s);
   void apply_delay_change(graph::EdgeIdx e, const PendingDelay& pd,
                           double now_s);
+  /// Set edge e's `up` from the link and node reports; true if its
+  /// usability changed.
+  bool refresh_edge(graph::EdgeIdx e);
   /// Re-solve with only `affected` sessions unfrozen and install the
   /// result; records the `resolve` trace event and counter.
   void resolve_after_failure(const std::set<coding::SessionId>& affected,
@@ -200,6 +206,7 @@ class Controller {
   std::map<graph::EdgeIdx, PendingDelay> pending_delay_;
   std::map<graph::NodeIdx, double> last_heartbeat_;
   std::set<graph::NodeIdx> down_nodes_;
+  std::set<graph::EdgeIdx> down_edges_;  // reported down by link reports
   int resolves_ = 0;
   std::map<graph::NodeIdx, ForwardingTable> pushed_tables_;
   std::vector<LoggedSignal> signals_;

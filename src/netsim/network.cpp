@@ -1,6 +1,8 @@
 #include "netsim/network.hpp"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace ncfn::netsim {
@@ -14,34 +16,27 @@ Link::Link(Network& net, NodeId from, NodeId to, const LinkConfig& cfg)
       jitter_(cfg.jitter),
       queue_limit_(cfg.queue_packets) {}
 
-void Link::bind_obs(obs::Observability* obs) {
-  if (obs == nullptr) {
-    trace_ = nullptr;
-    m_enqueued_ = m_delivered_ = m_bytes_ = m_drop_loss_ = m_drop_queue_ =
-        m_drop_down_ = nullptr;
-    m_queue_depth_ = m_busy_s_ = nullptr;
-    return;
-  }
-  trace_ = &obs->trace;
+void Link::bind_obs(obs::Observability& obs) {
+  trace_ = &obs.trace;
   const std::string prefix = "netsim.link." + std::to_string(from_) + "-" +
                              std::to_string(to_) + ".";
-  m_enqueued_ = &obs->metrics.counter(prefix + "enqueued");
-  m_delivered_ = &obs->metrics.counter(prefix + "delivered");
-  m_bytes_ = &obs->metrics.counter(prefix + "bytes_delivered");
-  m_drop_loss_ = &obs->metrics.counter(prefix + "dropped_loss");
-  m_drop_queue_ = &obs->metrics.counter(prefix + "dropped_queue");
-  m_drop_down_ = &obs->metrics.counter(prefix + "dropped_down");
-  m_queue_depth_ = &obs->metrics.gauge(prefix + "queue_depth");
+  m_enqueued_ = &obs.metrics.counter(prefix + "enqueued");
+  m_delivered_ = &obs.metrics.counter(prefix + "delivered");
+  m_bytes_ = &obs.metrics.counter(prefix + "bytes_delivered");
+  m_drop_loss_ = &obs.metrics.counter(prefix + "dropped_loss");
+  m_drop_queue_ = &obs.metrics.counter(prefix + "dropped_queue");
+  m_drop_down_ = &obs.metrics.counter(prefix + "dropped_down");
+  m_queue_depth_ = &obs.metrics.gauge(prefix + "queue_depth");
   // Cumulative serializer busy time: utilization over [0, T] is
   // busy_s / T without any per-delivery division on the hot path.
-  m_busy_s_ = &obs->metrics.gauge(prefix + "busy_s");
+  m_busy_s_ = &obs.metrics.gauge(prefix + "busy_s");
 }
 
 void Link::set_up(bool up) {
   if (up == up_) return;
   up_ = up;
   if (!up) ++down_epoch_;  // packets in flight are lost at delivery time
-  if (trace_ != nullptr) trace_->link_state(from_, to_, up);
+  trace_->link_state(from_, to_, up);
 }
 
 void Link::transmit(std::span<Datagram> burst) {
@@ -57,28 +52,22 @@ void Link::transmit(std::span<Datagram> burst) {
     ++stats_.offered;
     if (!up_) {
       ++stats_.dropped_down;
-      if (m_drop_down_ != nullptr) m_drop_down_->inc();
-      if (trace_ != nullptr) {
-        trace_->packet_drop(from_, to_, d.wire_bytes(), "down");
-      }
+      m_drop_down_->inc();
+      trace_->packet_drop(from_, to_, d.wire_bytes(), "down");
       net_.recycle_buffer(std::move(d.payload));
       continue;
     }
     if (loss_ && loss_->drop(net_.rng())) {
       ++stats_.dropped_loss;
-      if (m_drop_loss_ != nullptr) m_drop_loss_->inc();
-      if (trace_ != nullptr) {
-        trace_->packet_drop(from_, to_, d.wire_bytes(), "loss");
-      }
+      m_drop_loss_->inc();
+      trace_->packet_drop(from_, to_, d.wire_bytes(), "loss");
       net_.recycle_buffer(std::move(d.payload));
       continue;
     }
     if (queued_ >= queue_limit_) {
       ++stats_.dropped_queue;
-      if (m_drop_queue_ != nullptr) m_drop_queue_->inc();
-      if (trace_ != nullptr) {
-        trace_->packet_drop(from_, to_, d.wire_bytes(), "queue");
-      }
+      m_drop_queue_->inc();
+      trace_->packet_drop(from_, to_, d.wire_bytes(), "queue");
       net_.recycle_buffer(std::move(d.payload));
       continue;
     }
@@ -86,18 +75,14 @@ void Link::transmit(std::span<Datagram> burst) {
     busy_until_ = std::max(sim.now(), busy_until_) + tx;
     burst_tx += tx;
     ++queued_;
-    if (trace_ != nullptr) {
-      trace_->packet_enqueue(from_, to_, d.wire_bytes(), queued_);
-    }
+    trace_->packet_enqueue(from_, to_, d.wire_bytes(), queued_);
     committed.push_back(std::move(d));
   }
   if (committed.empty()) return;
   const std::size_t n = committed.size();
-  if (m_enqueued_ != nullptr) {
-    m_enqueued_->inc(n);
-    m_queue_depth_->set(static_cast<double>(queued_));
-    m_busy_s_->add(burst_tx);
-  }
+  m_enqueued_->inc(n);
+  m_queue_depth_->set(static_cast<double>(queued_));
+  m_busy_s_->add(burst_tx);
 
   // One departure for the burst's tail packet. The egress queue empties
   // when the serializer finishes, not when the burst lands `prop_delay_`
@@ -132,9 +117,7 @@ void Link::transmit(std::span<Datagram> burst) {
 void Link::departure(std::size_t n) {
   assert(queued_ >= n);
   queued_ -= n;
-  if (m_queue_depth_ != nullptr) {
-    m_queue_depth_->set(static_cast<double>(queued_));
-  }
+  m_queue_depth_->set(static_cast<double>(queued_));
 }
 
 void Link::complete_delivery(std::vector<Datagram> pkts,
@@ -144,11 +127,9 @@ void Link::complete_delivery(std::vector<Datagram> pkts,
     // The link went down while the burst was committed to the wire; every
     // packet in it is lost together.
     stats_.dropped_down += pkts.size();
-    if (m_drop_down_ != nullptr) m_drop_down_->inc(pkts.size());
+    m_drop_down_->inc(pkts.size());
     for (Datagram& p : pkts) {
-      if (trace_ != nullptr) {
-        trace_->packet_drop(from_, to_, p.wire_bytes(), "down");
-      }
+      trace_->packet_drop(from_, to_, p.wire_bytes(), "down");
       net_.recycle_buffer(std::move(p.payload));
     }
     return;
@@ -158,14 +139,10 @@ void Link::complete_delivery(std::vector<Datagram> pkts,
     ++stats_.delivered;
     stats_.bytes_delivered += p.wire_bytes();
     bytes += p.wire_bytes();
-    if (trace_ != nullptr) {
-      trace_->packet_deliver(from_, to_, p.wire_bytes(), queued_);
-    }
+    trace_->packet_deliver(from_, to_, p.wire_bytes(), queued_);
   }
-  if (m_delivered_ != nullptr) {
-    m_delivered_->inc(pkts.size());
-    m_bytes_->inc(bytes);
-  }
+  m_delivered_->inc(pkts.size());
+  m_bytes_->inc(bytes);
   net_.deliver(pkts);
   // Payloads a handler left in place go back to the pool.
   for (Datagram& p : pkts) net_.recycle_buffer(std::move(p.payload));
@@ -178,7 +155,7 @@ NodeId Network::add_node(std::string name) {
 
 Link& Network::add_link(NodeId from, NodeId to, const LinkConfig& cfg) {
   auto link = std::make_shared<Link>(*this, from, to, cfg);
-  link->bind_obs(obs_);
+  link->bind_obs(*obs_);
   auto& slot = links_[{from, to}];
   // Replacing drops the last strong reference to any previous link; its
   // in-flight delivery events hold weak handles and become no-ops.
@@ -186,19 +163,13 @@ Link& Network::add_link(NodeId from, NodeId to, const LinkConfig& cfg) {
   return *slot;
 }
 
-void Network::set_node_up(NodeId node, bool up) {
-  if (node >= node_down_.size()) node_down_.resize(node + 1, false);
-  if (node_down_[node] == !up) return;
-  node_down_[node] = !up;
-  if (obs_ != nullptr) obs_->trace.node_state(node, up);
-  for (auto& [key, link] : links_) {
-    if (key.first == node || key.second == node) link->set_up(up);
-  }
-}
-
 void Network::set_obs(obs::Observability* obs) {
+  if (obs == nullptr) {
+    std::fprintf(stderr, "ncfn: Network::set_obs: null hub\n");
+    std::abort();
+  }
   obs_ = obs;
-  for (auto& [key, link] : links_) link->bind_obs(obs);
+  for (auto& [key, link] : links_) link->bind_obs(*obs);
 }
 
 void Network::add_duplex_link(NodeId a, NodeId b, const LinkConfig& cfg) {
@@ -295,7 +266,6 @@ void Network::recycle_buffer(std::vector<std::uint8_t>&& buf) {
 }
 
 void Network::deliver(std::span<Datagram> burst) {
-  if (!node_up(burst.front().dst)) return;  // machine down: burst vanishes
   std::size_t i = 0;
   while (i < burst.size()) {
     std::size_t j = i + 1;

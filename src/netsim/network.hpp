@@ -117,9 +117,9 @@ class Link : public std::enable_shared_from_this<Link> {
   /// datagrams (moves their payloads).
   void transmit(std::span<Datagram> burst);
 
-  /// (Re)bind observability handles; nullptr detaches. Called by Network
-  /// on creation and whenever the hub is attached.
-  void bind_obs(obs::Observability* obs);
+  /// (Re)bind observability handles to `obs`. Called by Network on
+  /// creation and whenever a hub is swapped in.
+  void bind_obs(obs::Observability& obs);
 
  private:
   /// The serializer finished the burst's last packet: the egress queue
@@ -142,7 +142,7 @@ class Link : public std::enable_shared_from_this<Link> {
   bool up_ = true;
   std::uint64_t down_epoch_ = 0;  // bumped on every set_up(false)
   LinkStats stats_;
-  // Observability handles (all null, or all live — bound together).
+  // Observability handles into the network's hub, bound together.
   obs::EventTrace* trace_ = nullptr;
   obs::Counter* m_enqueued_ = nullptr;
   obs::Counter* m_delivered_ = nullptr;
@@ -165,16 +165,23 @@ using BurstHandler = std::function<void(std::span<Datagram>)>;
 
 class Network {
  public:
-  explicit Network(std::uint32_t seed = 1) : rng_(seed) {}
+  explicit Network(std::uint32_t seed = 1) : rng_(seed) {
+    own_obs_.trace.set_clock([this] { return sim_.now(); });
+  }
 
   [[nodiscard]] Simulator& sim() { return sim_; }
   [[nodiscard]] std::mt19937& rng() { return rng_; }
 
-  /// Attach (or detach, with nullptr) the observability hub. Existing and
-  /// future links register their per-link metrics; components built on
-  /// this network (VNFs, endpoints) pick the hub up from here. The hub
-  /// must outlive the network.
+  /// Record into an external hub instead of the network's own (which
+  /// stays idle). Existing and future links register their per-link
+  /// metrics there; components built on this network afterwards pick
+  /// it up from obs(). Call it before building those components. The
+  /// hub must be non-null and outlive the network; its trace clock is
+  /// the caller's to set.
   void set_obs(obs::Observability* obs);
+  /// The hub every layer built on this network records into: the
+  /// network's own, whose trace is stamped with this simulator's clock,
+  /// unless set_obs() swapped in another. Never null.
   [[nodiscard]] obs::Observability* obs() const { return obs_; }
 
   /// Add a node; returns its id. Names are for diagnostics.
@@ -193,14 +200,6 @@ class Network {
 
   [[nodiscard]] Link* link(NodeId from, NodeId to);
   [[nodiscard]] const Link* link(NodeId from, NodeId to) const;
-
-  /// Machine-level outage: takes every link incident to `node` down (or
-  /// back up) and gates delivery to the node itself. Emits node_down /
-  /// node_up trace events around the per-link transitions.
-  void set_node_up(NodeId node, bool up);
-  [[nodiscard]] bool node_up(NodeId node) const {
-    return node >= node_down_.size() || !node_down_[node];
-  }
 
   /// Bind a handler at (node, port). Each port has one binding, so bind
   /// and bind_burst replace each other. A datagram handler is called once
@@ -253,11 +252,13 @@ class Network {
  private:
   static constexpr std::size_t kMaxRecycledBuffers = 4096;
 
+  // Declared first: links, VNFs and endpoints hold handles into the hub
+  // until they and the simulator's pending events are gone.
+  obs::Observability own_obs_;
+  obs::Observability* obs_ = &own_obs_;
   Simulator sim_;
   std::mt19937 rng_;
-  obs::Observability* obs_ = nullptr;
   std::vector<std::string> node_names_;
-  std::vector<bool> node_down_;  // lazily grown; default everything up
   std::map<std::pair<NodeId, NodeId>, std::shared_ptr<Link>> links_;
   std::map<std::pair<NodeId, Port>, BurstHandler> handlers_;
   std::vector<std::vector<std::uint8_t>> buffer_pool_;

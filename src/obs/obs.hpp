@@ -1,7 +1,7 @@
-// Observability hub: one metrics registry plus one event trace, owned by
-// whoever owns the run (app::SimNet for simulated sessions, a test, or a
-// tool's main()). Layers receive a raw pointer — nullptr means "not
-// observed" and every instrumentation site degrades to a null check.
+// Observability hub: one metrics registry plus one event trace. Every
+// netsim::Network owns one, so every layer built on a network records
+// into it; a harness that wants its own hub swaps it in with
+// Network::set_obs before building on the network.
 #pragma once
 
 #include "obs/metrics.hpp"

@@ -15,8 +15,8 @@
 // The trace is disabled by default. Every emitter starts with an inline
 // enabled() check, so a disabled trace costs one predictable branch per
 // event and touches no memory. Timestamps come from a clock callback
-// (bound to Simulator::now() by the runtime), so lower layers can emit
-// events without depending on netsim.
+// (bound to Simulator::now() by the network that owns the hub), so lower
+// layers can emit events without depending on netsim.
 #pragma once
 
 #include <cstdint>
@@ -70,11 +70,6 @@ class EventTrace {
   void link_state(std::uint32_t from, std::uint32_t to, bool up) {
     if (!enabled_) return;
     emit_pair(up ? "link_up" : "link_down", from, to);
-  }
-  /// Node (machine) state change: all incident links go with it.
-  void node_state(std::uint32_t node, bool up) {
-    if (!enabled_) return;
-    emit_node(up ? "node_up" : "node_down", node);
   }
 
   // ---- coding ----

@@ -3,31 +3,34 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <string>
 
 namespace ncfn::vnf {
 
 CodingVnf::CodingVnf(netsim::Network& net, netsim::NodeId node,
                      const VnfConfig& cfg)
-    : net_(net), node_(node), cfg_(cfg), rng_(cfg.seed), buffer_(cfg.params) {
+    : net_(net),
+      node_(node),
+      cfg_(cfg),
+      rng_(cfg.seed),
+      buffer_(cfg.params, *net.obs(), node) {
   cfg_.max_batch =
       std::clamp<std::size_t>(cfg_.max_batch, 1, coding::kBatchCapacity);
   lanes_.resize(1);
-  if (obs::Observability* obs = net_.obs()) {
-    buffer_.set_obs(obs, node_);
-    trace_ = &obs->trace;
-    const std::string p = "vnf.node." + std::to_string(node_) + ".";
-    m_received_ = &obs->metrics.counter(p + "received");
-    m_innovative_ = &obs->metrics.counter(p + "innovative");
-    m_emitted_ = &obs->metrics.counter(p + "emitted");
-    m_recoded_ = &obs->metrics.counter(p + "recoded");
-    m_proc_dropped_ = &obs->metrics.counter(p + "proc_dropped");
-    m_decoded_ = &obs->metrics.counter(p + "decoded_generations");
-    m_crash_dropped_ = &obs->metrics.counter(p + "crash_dropped");
-    m_batches_ = &obs->metrics.counter(p + "batches");
-    m_lane_backlog_ = &obs->metrics.gauge(p + "lane_backlog");
-    static constexpr double kBatchBounds[] = {1, 2, 4, 8, 16, 32};
-    h_batch_size_ = &obs->metrics.histogram(p + "batch_size", kBatchBounds);
-  }
+  obs::Observability& obs = *net_.obs();
+  trace_ = &obs.trace;
+  const std::string p = "vnf.node." + std::to_string(node_) + ".";
+  m_received_ = &obs.metrics.counter(p + "received");
+  m_innovative_ = &obs.metrics.counter(p + "innovative");
+  m_emitted_ = &obs.metrics.counter(p + "emitted");
+  m_recoded_ = &obs.metrics.counter(p + "recoded");
+  m_proc_dropped_ = &obs.metrics.counter(p + "proc_dropped");
+  m_decoded_ = &obs.metrics.counter(p + "decoded_generations");
+  m_crash_dropped_ = &obs.metrics.counter(p + "crash_dropped");
+  m_batches_ = &obs.metrics.counter(p + "batches");
+  m_lane_backlog_ = &obs.metrics.gauge(p + "lane_backlog");
+  static constexpr double kBatchBounds[] = {1, 2, 4, 8, 16, 32};
+  h_batch_size_ = &obs.metrics.histogram(p + "batch_size", kBatchBounds);
 }
 
 CodingVnf::~CodingVnf() {
@@ -99,29 +102,42 @@ void CodingVnf::pause() { paused_ = true; }
 void CodingVnf::crash() {
   if (crashed_) return;
   crashed_ = true;
-  ++crash_epoch_;
   // Everything the process held in memory dies with it: decoder state,
   // emission credits, deferred emissions, lane queues, paused backlog.
   for (auto& [id, st] : sessions_) {
     buffer_.erase_session(id);
     st.ledger.clear();
   }
-  for (Lane& lane : lanes_) {
-    queued_total_ -= lane.queue.size();
-    lane.queue.clear();
-  }
-  if (m_lane_backlog_ != nullptr) {
-    m_lane_backlog_->set(static_cast<double>(queued_total_));
-  }
-  paused_backlog_.clear();
-  paused_ = false;
-  if (trace_ != nullptr) trace_->vnf_crash(node_);
+  wipe();
+  trace_->vnf_crash(node_);
 }
 
 void CodingVnf::restart() {
   if (!crashed_) return;
   crashed_ = false;
-  if (trace_ != nullptr) trace_->vnf_restart(node_);
+  trace_->vnf_restart(node_);
+}
+
+void CodingVnf::reset(const coding::CodingParams& params) {
+  for (const auto& [id, st] : sessions_) net_.unbind(node_, st.port);
+  sessions_.clear();
+  cached_state_ = nullptr;
+  cfg_.params = params;
+  // A fresh buffer holds no decoder yet, so moving it in leaves no
+  // decoder pointing at the temporary's handles.
+  buffer_ = coding::GenerationBuffer(params, *net_.obs(), node_);
+  wipe();
+}
+
+void CodingVnf::wipe() {
+  ++crash_epoch_;
+  for (Lane& lane : lanes_) {
+    queued_total_ -= lane.queue.size();
+    lane.queue.clear();
+  }
+  m_lane_backlog_->set(static_cast<double>(queued_total_));
+  paused_backlog_.clear();
+  paused_ = false;
 }
 
 void CodingVnf::resume() {
@@ -165,7 +181,7 @@ std::size_t CodingVnf::lane_of(coding::SessionId s,
 void CodingVnf::on_burst(std::span<netsim::Datagram> burst) {
   if (crashed_) {
     // The process is dead; the bound port drops traffic on the floor.
-    if (m_crash_dropped_ != nullptr) m_crash_dropped_->inc(burst.size());
+    m_crash_dropped_->inc(burst.size());
     return;
   }
   // Enqueue the whole burst before arming any drain so the first service
@@ -197,7 +213,7 @@ void CodingVnf::on_burst(std::span<netsim::Datagram> burst) {
     Lane& lane = lanes_[idx];
     if (lane.queue.size() >= cfg_.proc_queue_limit) {
       ++cached_state_->stats.proc_dropped;
-      if (m_proc_dropped_ != nullptr) m_proc_dropped_->inc();
+      m_proc_dropped_->inc();
       continue;
     }
     lane.queue.push_back(std::move(*pkt));
@@ -209,9 +225,7 @@ void CodingVnf::on_burst(std::span<netsim::Datagram> burst) {
   }
   // Once per arrival burst, not per packet: Gauge::set only stores, so
   // intermediate values are invisible anyway.
-  if (m_lane_backlog_ != nullptr) {
-    m_lane_backlog_->set(static_cast<double>(queued_total_));
-  }
+  m_lane_backlog_->set(static_cast<double>(queued_total_));
   for (const std::size_t idx : touched_lanes_) start_drain(idx);
 }
 
@@ -248,9 +262,7 @@ void CodingVnf::drain(std::size_t lane_idx, std::size_t k,
     lane.queue.pop_front();
   }
   queued_total_ -= k;
-  if (m_lane_backlog_ != nullptr) {
-    m_lane_backlog_->set(static_cast<double>(queued_total_));
-  }
+  m_lane_backlog_->set(static_cast<double>(queued_total_));
   if (paused_) {
     // Serviced while paused: buffered, nothing emitted until resume().
     for (coding::CodedPacket& p : batch_.packets()) {
@@ -273,10 +285,8 @@ void CodingVnf::drain(std::size_t lane_idx, std::size_t k,
 
 void CodingVnf::run_pipeline(coding::PacketBatch& batch) {
   if (batch.empty()) return;
-  if (m_batches_ != nullptr) {
-    m_batches_->inc();
-    h_batch_size_->record(static_cast<double>(batch.size()));
-  }
+  m_batches_->inc();
+  h_batch_size_->record(static_cast<double>(batch.size()));
   in_pipeline_ = true;
   ingest_batch(batch);
   emit_batch(batch);
@@ -330,8 +340,8 @@ void CodingVnf::ingest_batch(coding::PacketBatch& batch) {
       tap_(pkt.session, pkt.generation, dec.rank(), dec.complete(), innov);
     }
   }
-  if (m_received_ != nullptr) m_received_->inc(received);
-  if (m_innovative_ != nullptr) m_innovative_->inc(innovative);
+  m_received_->inc(received);
+  m_innovative_->inc(innovative);
 }
 
 void CodingVnf::emit_batch(coding::PacketBatch& batch) {
@@ -363,7 +373,7 @@ void CodingVnf::emit_batch(coding::PacketBatch& batch) {
             continue;
           }
           ++st.stats.decoded_generations;
-          if (m_decoded_ != nullptr) m_decoded_->inc();
+          m_decoded_->inc();
           if (sink_) {
             sink_(batch[p].session, batch[p].generation, dec->recover());
           }
@@ -395,7 +405,7 @@ void CodingVnf::emit_batch(coding::PacketBatch& batch) {
               batch[p].serialize_into(d.payload);
               out_burst_.push_back(std::move(d));
               ++st.stats.emitted;
-              if (m_emitted_ != nullptr) m_emitted_->inc();
+              m_emitted_->inc();
             }
           }
         } else {
@@ -472,7 +482,7 @@ void CodingVnf::credit_run(SessionState& st, coding::PacketBatch& batch,
           batch[p].serialize_into(d.payload);
           out_burst_.push_back(std::move(d));
           ++st.stats.emitted;
-          if (m_emitted_ != nullptr) m_emitted_->inc();
+          m_emitted_->inc();
         } else {
           ++recode_counts_[h];
         }
@@ -514,14 +524,9 @@ void CodingVnf::emit_recoded_counts(SessionState& st, coding::Decoder& dec,
       recode_scratch_[t].serialize_into(d.payload);
       out_burst_.push_back(std::move(d));
       ++st.stats.emitted;
-      if (m_emitted_ != nullptr) {
-        m_emitted_->inc();
-        m_recoded_->inc();
-      }
-      if (trace_ != nullptr) {
-        trace_->vnf_recode(node_, dec.session(), dec.generation(),
-                           dec.rank());
-      }
+      m_emitted_->inc();
+      m_recoded_->inc();
+      trace_->vnf_recode(node_, dec.session(), dec.generation(), dec.rank());
       --left;
       advance();
     }

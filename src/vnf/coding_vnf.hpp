@@ -178,6 +178,13 @@ class CodingVnf {
   void restart();
   [[nodiscard]] bool crashed() const { return crashed_; }
 
+  /// Restart the coding process with new coding parameters (an
+  /// NC_SETTINGS change of generation or block size): every session,
+  /// port binding and buffered generation goes, and work queued or held
+  /// under the old parameters is discarded as after a crash. The caller
+  /// configures the sessions again. Lanes and the crashed state stay.
+  void reset(const coding::CodingParams& params);
+
   void set_decode_sink(DecodeSink sink) { sink_ = std::move(sink); }
   /// Observe every processed packet (used by receivers for repair timers).
   void set_packet_tap(PacketTap tap) { tap_ = std::move(tap); }
@@ -228,6 +235,9 @@ class CodingVnf {
   /// This packet completed the generation's rank.
   static constexpr std::uint8_t kMetaCompletedNow = 0x04;
 
+  /// What crash() and reset() both drop: queued and paused work, with a
+  /// new epoch so drains already scheduled find nothing to serve.
+  void wipe();
   /// Arrivals at a session port (a single datagram is a burst of one):
   /// parse, lane admission, then one drain armed per touched lane.
   void on_burst(std::span<netsim::Datagram> burst);
@@ -259,8 +269,8 @@ class CodingVnf {
   VnfConfig cfg_;
   std::mt19937 rng_;
   coding::GenerationBuffer buffer_;
-  // Per-function observability handles, bound from net_.obs() at
-  // construction (all null when the network has no hub attached).
+  // Per-function observability handles into net_.obs(), bound at
+  // construction.
   obs::EventTrace* trace_ = nullptr;
   obs::Counter* m_received_ = nullptr;
   obs::Counter* m_innovative_ = nullptr;
@@ -281,8 +291,9 @@ class CodingVnf {
   std::vector<Lane> lanes_;
   bool paused_ = false;
   bool crashed_ = false;
-  // Bumped on every crash: work admitted to a lane before the crash is
-  // discarded at service time even if the function restarted meanwhile.
+  // Bumped on every crash and reset: work admitted to a lane before it
+  // is discarded at service time even if the function restarted
+  // meanwhile.
   std::uint64_t crash_epoch_ = 0;
   std::vector<coding::CodedPacket> paused_backlog_;
   DecodeSink sink_;

@@ -4,19 +4,19 @@ namespace ncfn::vnf {
 
 VnfDaemon::VnfDaemon(netsim::Network& net, netsim::NodeId node,
                      const DaemonConfig& cfg)
-    : net_(net), node_(node), cfg_(cfg) {
-  vnf_ = std::make_unique<CodingVnf>(net_, node_, cfg_.vnf);
-  if ((obs_ = net_.obs()) != nullptr) {
-    // Bucket bounds span Table III's range: per-entry cost ~31 ms, full
-    // 10-entry table swap ~311 ms.
-    static constexpr double kBounds[] = {0.025, 0.05, 0.1, 0.2, 0.4};
-    m_table_update_s_ = &obs_->metrics.histogram("ctrl.table_update_s",
-                                                 kBounds);
-    m_table_updates_ = &obs_->metrics.counter("ctrl.table_updates");
-    m_vnf_starts_ = &obs_->metrics.counter("vnf.starts");
-    m_shutdowns_ = &obs_->metrics.counter("vnf.shutdowns");
-    m_shutdowns_cancelled_ = &obs_->metrics.counter("vnf.shutdowns_cancelled");
-  }
+    : net_(net),
+      node_(node),
+      cfg_(cfg),
+      vnf_(net, node, cfg.vnf),
+      obs_(net.obs()) {
+  // Bucket bounds span Table III's range: per-entry cost ~31 ms, full
+  // 10-entry table swap ~311 ms.
+  static constexpr double kBounds[] = {0.025, 0.05, 0.1, 0.2, 0.4};
+  m_table_update_s_ = &obs_->metrics.histogram("ctrl.table_update_s", kBounds);
+  m_table_updates_ = &obs_->metrics.counter("ctrl.table_updates");
+  m_vnf_starts_ = &obs_->metrics.counter("vnf.starts");
+  m_shutdowns_ = &obs_->metrics.counter("vnf.shutdowns");
+  m_shutdowns_cancelled_ = &obs_->metrics.counter("vnf.shutdowns_cancelled");
   net_.bind(node_, cfg_.control_port,
             [this](const netsim::Datagram& d) { on_control_datagram(d); });
 }
@@ -35,11 +35,9 @@ void VnfDaemon::on_control_datagram(const netsim::Datagram& d) {
 }
 
 void VnfDaemon::handle_signal(const ctrl::Signal& s) {
-  if (obs_ != nullptr) {
-    const char* kind = ctrl::signal_name(s);
-    obs_->metrics.counter(std::string("ctrl.signals_received.") + kind).inc();
-    obs_->trace.signal(node_, kind);
-  }
+  const char* kind = ctrl::signal_name(s);
+  obs_->metrics.counter(std::string("ctrl.signals_received.") + kind).inc();
+  obs_->trace.signal(node_, kind);
   std::visit(
       [this](const auto& sig) {
         using T = std::decay_t<decltype(sig)>;
@@ -52,9 +50,7 @@ void VnfDaemon::handle_signal(const ctrl::Signal& s) {
           // Either way any pending shutdown is cancelled.
           if (shutdown_pending_) {
             ++stats_.shutdowns_cancelled;
-            if (m_shutdowns_cancelled_ != nullptr) {
-              m_shutdowns_cancelled_->inc();
-            }
+            m_shutdowns_cancelled_->inc();
           }
           shutdown_pending_ = false;
           ++shutdown_epoch_;
@@ -64,10 +60,10 @@ void VnfDaemon::handle_signal(const ctrl::Signal& s) {
           // timestamp.
           net_.sim().schedule(cfg_.vnf_start_s, [this] {
             ++stats_.vnf_starts;
-            if (m_vnf_starts_ != nullptr) m_vnf_starts_->inc();
-            if (obs_ != nullptr) obs_->trace.signal(node_, "VNF_READY");
+            m_vnf_starts_->inc();
+            obs_->trace.signal(node_, "VNF_READY");
           });
-          if (sig.count > vnf_->lanes()) vnf_->set_lanes(sig.count);
+          if (sig.count > vnf_.lanes()) vnf_.set_lanes(sig.count);
         } else if constexpr (std::is_same_v<T, ctrl::NcVnfEnd>) {
           const std::uint64_t epoch = ++shutdown_epoch_;
           shutdown_pending_ = true;
@@ -76,8 +72,8 @@ void VnfDaemon::handle_signal(const ctrl::Signal& s) {
               running_ = false;
               shutdown_pending_ = false;
               ++stats_.shutdowns;
-              if (m_shutdowns_ != nullptr) m_shutdowns_->inc();
-              if (obs_ != nullptr) obs_->trace.signal(node_, "VNF_SHUTDOWN");
+              m_shutdowns_->inc();
+              obs_->trace.signal(node_, "VNF_SHUTDOWN");
             }
           });
         } else if constexpr (std::is_same_v<T, ctrl::NcForwardTab>) {
@@ -94,42 +90,15 @@ void VnfDaemon::apply_settings(const ctrl::NcSettings& s) {
   params.generation_blocks = s.generation_blocks;
   params.block_size = s.block_size;
   // Coding parameters are system-wide and set at initialization; a change
-  // requires restarting the coding function with a fresh buffer.
+  // restarts the coding function with a fresh buffer.
   if (params.generation_blocks != cfg_.vnf.params.generation_blocks ||
       params.block_size != cfg_.vnf.params.block_size) {
     cfg_.vnf.params = params;
-    vnf_ = std::make_unique<CodingVnf>(net_, node_, cfg_.vnf);
+    vnf_.reset(params);
   }
   for (const ctrl::SessionSetting& ss : s.sessions) {
-    vnf_->configure_session(ss.session, ss.role, ss.udp_port);
+    vnf_.configure_session(ss.session, ss.role, ss.udp_port);
   }
-}
-
-void VnfDaemon::install(const ctrl::ForwardingTable& table) {
-  for (const auto& [session, hops] : table.entries()) {
-    std::vector<NextHopRate> rates;
-    rates.reserve(hops.size());
-    for (const ctrl::NextHop& h : hops) rates.push_back(NextHopRate{h, 1.0});
-    vnf_->set_next_hops(session, std::move(rates));
-  }
-}
-
-void VnfDaemon::crash(std::optional<double> restart_after_s) {
-  const double delay = restart_after_s.value_or(cfg_.vnf_start_s);
-  ++stats_.crashes;
-  if (obs_ != nullptr) obs_->metrics.counter("vnf.crashes").inc();
-  vnf_->crash();
-  running_ = false;
-  const std::uint64_t epoch = ++crash_epoch_;
-  net_.sim().schedule(delay, [this, epoch] {
-    if (crash_epoch_ != epoch) return;  // crashed again before this restart
-    vnf_->restart();
-    install(table_);
-    running_ = true;
-    ++stats_.vnf_starts;
-    if (m_vnf_starts_ != nullptr) m_vnf_starts_->inc();
-    if (obs_ != nullptr) obs_->trace.signal(node_, "VNF_READY");
-  });
 }
 
 void VnfDaemon::apply_table(const ctrl::NcForwardTab& t) {
@@ -139,18 +108,21 @@ void VnfDaemon::apply_table(const ctrl::NcForwardTab& t) {
       ctrl::ForwardingTable::diff_entries(table_, t.table);
   const double cost =
       static_cast<double>(changed) * cfg_.table_entry_apply_s;
-  vnf_->pause();
+  vnf_.pause();
   stats_.last_table_update_cost_s = cost;
   ++stats_.table_updates;
-  if (obs_ != nullptr) {
-    m_table_updates_->inc();
-    m_table_update_s_->record(cost);
-    obs_->trace.fwdtab_swap(node_, changed, cost);
-  }
+  m_table_updates_->inc();
+  m_table_update_s_->record(cost);
+  obs_->trace.fwdtab_swap(node_, changed, cost);
   table_ = t.table;
   net_.sim().schedule(cost, [this, tab = t.table] {
-    install(tab);
-    vnf_->resume();
+    for (const auto& [session, hops] : tab.entries()) {
+      std::vector<NextHopRate> rates;
+      rates.reserve(hops.size());
+      for (const ctrl::NextHop& h : hops) rates.push_back(NextHopRate{h, 1.0});
+      vnf_.set_next_hops(session, std::move(rates));
+    }
+    vnf_.resume();
   });
 }
 

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -28,8 +27,7 @@ namespace ncfn::vnf {
 
 struct DaemonConfig {
   netsim::Port control_port = 100;
-  double vm_launch_s = 35.0;          // case (i) of Sec. V.C.5
-  double vnf_start_s = 0.376;         // case (ii)
+  double vnf_start_s = 0.376;         // case (ii) of Sec. V.C.5
   double table_entry_apply_s = 0.031;  // case (iii), per changed entry
   VnfConfig vnf;
 };
@@ -42,7 +40,6 @@ struct DaemonStats {
   std::uint64_t vnf_starts = 0;
   std::uint64_t shutdowns = 0;
   std::uint64_t shutdowns_cancelled = 0;  // reuse within tau
-  std::uint64_t crashes = 0;
 };
 
 class VnfDaemon {
@@ -58,7 +55,7 @@ class VnfDaemon {
   /// the network on the control port with the text wire format).
   void handle_signal(const ctrl::Signal& s);
 
-  [[nodiscard]] CodingVnf& vnf() { return *vnf_; }
+  [[nodiscard]] CodingVnf& vnf() { return vnf_; }
   [[nodiscard]] const DaemonStats& stats() const { return stats_; }
   [[nodiscard]] bool running() const { return running_; }
   [[nodiscard]] const ctrl::ForwardingTable& table() const { return table_; }
@@ -73,13 +70,6 @@ class VnfDaemon {
                     ProbeReport report);
   void stop_probes() { probing_ = false; }
 
-  /// Simulate a coding-process crash: the CodingVnf loses all buffered
-  /// state and drops traffic until the cold restart `restart_after_s`
-  /// later (default: the Sec. V.C.5 coding-function start latency,
-  /// cfg.vnf_start_s). On restart the daemon re-applies its cached
-  /// forwarding table — the table re-fetch of a cold start.
-  void crash(std::optional<double> restart_after_s = std::nullopt);
-
   /// Periodic liveness beacon: a tiny "HB <node>" datagram to the
   /// controller node's heartbeat port every `interval_s`. Heartbeats ride
   /// the same simulated links as everything else, so a severed control
@@ -91,18 +81,16 @@ class VnfDaemon {
   void on_control_datagram(const netsim::Datagram& d);
   void apply_settings(const ctrl::NcSettings& s);
   void apply_table(const ctrl::NcForwardTab& t);
-  /// Hand every entry of `table` to the coding function as next hops.
-  void install(const ctrl::ForwardingTable& table);
   void probe_round();
   void heartbeat_round();
 
   netsim::Network& net_;
   netsim::NodeId node_;
   DaemonConfig cfg_;
-  std::unique_ptr<CodingVnf> vnf_;
+  CodingVnf vnf_;
   ctrl::ForwardingTable table_;
   DaemonStats stats_;
-  // Control-plane observability (null without a hub on the network).
+  // Control-plane observability handles into the network's hub.
   obs::Observability* obs_ = nullptr;
   obs::Histogram* m_table_update_s_ = nullptr;
   obs::Counter* m_table_updates_ = nullptr;
@@ -112,7 +100,6 @@ class VnfDaemon {
   bool running_ = true;
   std::uint64_t shutdown_epoch_ = 0;  // bump to cancel pending shutdowns
   bool shutdown_pending_ = false;
-  std::uint64_t crash_epoch_ = 0;  // a re-crash cancels the older restart
 
   bool probing_ = false;
   std::vector<netsim::NodeId> probe_peers_;

@@ -284,7 +284,7 @@ TEST(Receiver, VerifyComparesOnlyUnpaddedBytes) {
   // padding, and blocks 2 and 3 are all padding.
   SyntheticProvider provider(3, 2 * params.generation_bytes() + 20, params);
   ReceiverConfig cfg;
-  cfg.params = params;
+  cfg.vnf.params = params;
   cfg.data_port = 9000;
   cfg.source_node = s;
   cfg.enable_repair = false;

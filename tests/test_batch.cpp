@@ -1,9 +1,9 @@
 // Batched data-plane invariants (ctest label `batch`):
 //
-//   * PacketBatch fill / partial-flush / pool-return accounting — every
-//     row a batch holds goes back to its pool on clear(), drop_front()
-//     and destruction, including partially-filled batches (the
-//     NCFN_AUDIT teardown check backs the same invariant end to end);
+//   * PacketBatch fill / pool-return accounting — every row a batch
+//     holds goes back to its pool on clear() and destruction, including
+//     partially-filled batches (the NCFN_AUDIT teardown check backs the
+//     same invariant end to end);
 //   * draw-order equivalence of the batched coefficient draws
 //     (recode_batch / encode_random_batch against their sequential
 //     single-packet counterparts from the same engine state);
@@ -93,28 +93,6 @@ TEST(Batch, EmplaceHandsOutZeroFilledRowsWithZeroMeta) {
   // Recycled slot: the metadata byte must not survive the previous use.
   batch.emplace(4, 16, pool);
   EXPECT_EQ(batch.meta(0), 0);
-}
-
-TEST(Batch, DropFrontPreservesOrderMetaAndReturnsRows) {
-  auto pool = coding::PacketPool::make();
-  coding::PacketBatch batch;
-  for (std::size_t i = 0; i < 8; ++i) {
-    auto& pkt = batch.emplace(4, 32, pool);
-    pkt.generation = static_cast<coding::GenerationId>(i);
-    batch.meta(i) = static_cast<std::uint8_t>(i);
-  }
-  const auto before = pool.stats().outstanding();
-  batch.drop_front(3);
-  ASSERT_EQ(batch.size(), 5u);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i].generation, i + 3);
-    EXPECT_EQ(batch.meta(i), i + 3);
-  }
-  // The three flushed rows went straight back to the pool.
-  EXPECT_EQ(pool.stats().outstanding(), before - 3);
-  batch.drop_front(batch.size());
-  EXPECT_TRUE(batch.empty());
-  EXPECT_EQ(pool.stats().outstanding(), 0u);
 }
 
 TEST(Batch, PartiallyFilledBatchTeardownReturnsRows) {

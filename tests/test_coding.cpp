@@ -16,6 +16,7 @@
 #include "coding/generic_codec.hpp"
 #include "coding/packet.hpp"
 #include "golden_file.hpp"
+#include "obs/obs.hpp"
 
 using namespace ncfn;
 using namespace ncfn::coding;
@@ -374,7 +375,8 @@ TEST(DecoderDeathTest, GenerationSizeOutsideTheBoundAborts) {
 
 TEST(Buffer, CreatesAndFindsState) {
   CodingParams p;
-  GenerationBuffer buf(p);
+  obs::Observability hub;
+  GenerationBuffer buf(p, hub, 0);
   EXPECT_EQ(buf.find(1, 0), nullptr);
   Decoder& d = buf.state(1, 0);
   EXPECT_EQ(&d, buf.find(1, 0));
@@ -384,7 +386,8 @@ TEST(Buffer, CreatesAndFindsState) {
 TEST(Buffer, FifoEvictionPerSession) {
   CodingParams p;
   p.buffer_generations = 3;
-  GenerationBuffer buf(p);
+  obs::Observability hub;
+  GenerationBuffer buf(p, hub, 0);
   buf.state(1, 10);
   buf.state(1, 11);
   buf.state(1, 12);
@@ -399,7 +402,8 @@ TEST(Buffer, FifoEvictionPerSession) {
 
 TEST(Buffer, EraseSessionDropsAllItsGenerations) {
   CodingParams p;
-  GenerationBuffer buf(p);
+  obs::Observability hub;
+  GenerationBuffer buf(p, hub, 0);
   buf.state(1, 0);
   buf.state(1, 1);
   buf.state(2, 0);
@@ -410,24 +414,13 @@ TEST(Buffer, EraseSessionDropsAllItsGenerations) {
   EXPECT_EQ(buf.generations_buffered(), 1u);
 }
 
-TEST(Buffer, EraseSingleGeneration) {
-  CodingParams p;
-  p.buffer_generations = 2;
-  GenerationBuffer buf(p);
-  buf.state(1, 0);
-  buf.state(1, 1);
-  buf.erase(1, 0);
-  EXPECT_EQ(buf.find(1, 0), nullptr);
-  buf.state(1, 2);  // fits without eviction now
-  EXPECT_EQ(buf.evictions(), 0u);
-}
-
 TEST(Buffer, FifoCountsReleasedGenerations) {
   CodingParams p;
   p.block_size = 16;
   p.generation_blocks = 2;
   p.buffer_generations = 2;
-  GenerationBuffer buf(p);
+  obs::Observability hub;
+  GenerationBuffer buf(p, hub, 0);
   Decoder& first = buf.state(1, 0);
   fill_systematic(first, p);
   first.release();
@@ -443,7 +436,8 @@ TEST(Buffer, EraseReleasedKeepsGenerationsStillDecoding) {
   CodingParams p;
   p.block_size = 16;
   p.generation_blocks = 2;
-  GenerationBuffer buf(p);
+  obs::Observability hub;
+  GenerationBuffer buf(p, hub, 0);
   Decoder& done = buf.state(1, 0);
   fill_systematic(done, p);
   done.release();

@@ -133,35 +133,6 @@ TEST(LinkState, DownDropsNewAndInFlightPackets) {
   EXPECT_TRUE(net.link(0, 1)->is_up());
 }
 
-TEST(LinkState, NodeDownSeversIncidentLinksAndLocalDelivery) {
-  Network net(1);
-  net.add_node("a");
-  net.add_node("b");
-  net.add_node("c");
-  LinkConfig lc;
-  lc.capacity_bps = 100e6;
-  lc.prop_delay = 0.001;
-  net.add_duplex_link(0, 1, lc);
-  net.add_link(1, 2, lc);
-  int at_b = 0;
-  net.bind(1, 9, [&](const Datagram&) { ++at_b; });
-
-  net.set_node_up(1, false);
-  EXPECT_FALSE(net.link(0, 1)->is_up());
-  EXPECT_FALSE(net.link(1, 0)->is_up());
-  EXPECT_FALSE(net.link(1, 2)->is_up());
-  EXPECT_FALSE(net.node_up(1));
-  net.send(make_dgram(0, 1, 9, 100));
-  net.sim().run();
-  EXPECT_EQ(at_b, 0);
-
-  net.set_node_up(1, true);
-  EXPECT_TRUE(net.link(0, 1)->is_up());
-  net.send(make_dgram(0, 1, 9, 100));
-  net.sim().run();
-  EXPECT_EQ(at_b, 1);
-}
-
 // ---------------------------------------------------------------------------
 // Controller failure handling.
 // ---------------------------------------------------------------------------
@@ -264,6 +235,37 @@ TEST(ControllerFailure, HeartbeatTimeoutDeclaresNodeDownAndRevives) {
 
   ctl.heartbeat(d.a, 3.0);  // a late heartbeat revives the DC
   EXPECT_FALSE(ctl.node_down(d.a));
+}
+
+TEST(ControllerFailure, NodeRevivalKeepsASeparatelyFailedLinkDown) {
+  Diamond d;
+  ctrl::Controller::Config cfg;
+  cfg.alpha = 1.0;
+  ctrl::Controller ctl(d.topo, cfg);
+  ctrl::SessionSpec spec;
+  spec.id = 1;
+  spec.source = d.s;
+  spec.receivers = {d.r};
+  spec.max_rate_mbps = 150.0;  // needs both paths
+  ASSERT_TRUE(ctl.add_session(spec, 0.0));
+  const graph::EdgeIdx e_sa = d.topo.find_edge(d.s, d.a);
+
+  ctl.report_link_state(d.e_ar, false, 1.0);
+  ctl.report_node_state(d.a, false, 2.0);
+  ctl.report_node_state(d.a, true, 3.0);
+  // A is back, but its link to R was reported down on its own and never
+  // reported up: it stays unusable and the plan keeps routing around it.
+  EXPECT_FALSE(ctl.topology().edge(d.e_ar).up);
+  ASSERT_TRUE(ctl.plan().feasible);
+  EXPECT_EQ(ctl.plan().edge_rate_mbps[0].count(d.e_ar), 0u);
+
+  // A link report cannot revive an edge whose DC is down, and a report
+  // that changes no edge's usability re-solves nothing.
+  ctl.report_node_state(d.a, false, 4.0);
+  const int resolves = ctl.resolves();
+  ctl.report_link_state(e_sa, true, 5.0);
+  EXPECT_FALSE(ctl.topology().edge(e_sa).up);
+  EXPECT_EQ(ctl.resolves(), resolves);
 }
 
 // ---------------------------------------------------------------------------
@@ -423,7 +425,6 @@ TEST(Repair, LargeGenerationFallsBackToCodedRepairs) {
 
   app::ReceiverConfig rcfg;
   rcfg.session = 1;
-  rcfg.params = params;
   rcfg.data_port = scfg.data_port;
   rcfg.source_node = s;
   rcfg.source_feedback_port = scfg.feedback_port;
@@ -442,7 +443,8 @@ TEST(Repair, LargeGenerationFallsBackToCodedRepairs) {
 
 TEST(Repair, RetryCountIsCappedPerGeneration) {
   // A receiver that can never complete (the source is gone) must stop
-  // re-requesting after max_repair_rounds instead of retrying forever.
+  // re-requesting after kMaxRepairRounds instead of retrying forever:
+  // 64 rounds of 0.05 s end at 3.2 s, well inside the 10-s run.
   Network net(1);
   const NodeId s = net.add_node("src");
   const NodeId r = net.add_node("rcv");
@@ -458,12 +460,10 @@ TEST(Repair, RetryCountIsCappedPerGeneration) {
 
   app::ReceiverConfig rcfg;
   rcfg.session = 1;
-  rcfg.params = params;
   rcfg.data_port = 20001;
   rcfg.source_node = s;
   rcfg.source_feedback_port = 40001;
   rcfg.repair_timeout_s = 0.05;
-  rcfg.max_repair_rounds = 3;
   rcfg.vnf.params = params;
   app::McReceiver rcv(net, r, provider, rcfg);
 
@@ -484,6 +484,6 @@ TEST(Repair, RetryCountIsCappedPerGeneration) {
     ASSERT_TRUE(net.send(std::move(d)));
   }
   net.sim().run_until(10.0);
-  EXPECT_EQ(requests, 3);
+  EXPECT_EQ(requests, 64);
   EXPECT_FALSE(rcv.complete());
 }

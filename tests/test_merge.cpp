@@ -35,17 +35,17 @@ TEST(MergeEdge, EqualTimestampsAcrossThreeInputsKeepInputOrder) {
   // Every record carries the same timestamp: the (input index, emission
   // order) tie-break decides everything. c emits twice to also pin
   // within-input stability under ties.
-  a.node_state(1, true);
-  b.node_state(2, true);
-  c.node_state(3, true);
-  c.node_state(4, false);
+  a.vnf_restart(1);
+  b.vnf_restart(2);
+  c.vnf_restart(3);
+  c.vnf_crash(4);
 
   const std::string merged = obs::merge_traces({&a, &b, &c});
   EXPECT_EQ(merged,
-            "{\"t\":1.000000000,\"ev\":\"node_up\",\"node\":1}\n"
-            "{\"t\":1.000000000,\"ev\":\"node_up\",\"node\":2}\n"
-            "{\"t\":1.000000000,\"ev\":\"node_up\",\"node\":3}\n"
-            "{\"t\":1.000000000,\"ev\":\"node_down\",\"node\":4}\n");
+            "{\"t\":1.000000000,\"ev\":\"vnf_restart\",\"node\":1}\n"
+            "{\"t\":1.000000000,\"ev\":\"vnf_restart\",\"node\":2}\n"
+            "{\"t\":1.000000000,\"ev\":\"vnf_restart\",\"node\":3}\n"
+            "{\"t\":1.000000000,\"ev\":\"vnf_crash\",\"node\":4}\n");
 }
 
 TEST(MergeEdge, EqualTimestampBlocksInterleaveByTimeNotInput) {
@@ -53,17 +53,17 @@ TEST(MergeEdge, EqualTimestampBlocksInterleaveByTimeNotInput) {
   obs::EventTrace a = make_trace(&t);
   obs::EventTrace b = make_trace(&t);
   t = 2.0;
-  a.node_state(1, true);
+  a.vnf_restart(1);
   t = 1.0;
-  b.node_state(2, true);
+  b.vnf_restart(2);
   t = 2.0;
-  b.node_state(3, true);  // ties a's 2.0 record: input 0 first
+  b.vnf_restart(3);  // ties a's 2.0 record: input 0 first
 
   const std::string merged = obs::merge_traces({&a, &b});
   EXPECT_EQ(merged,
-            "{\"t\":1.000000000,\"ev\":\"node_up\",\"node\":2}\n"
-            "{\"t\":2.000000000,\"ev\":\"node_up\",\"node\":1}\n"
-            "{\"t\":2.000000000,\"ev\":\"node_up\",\"node\":3}\n");
+            "{\"t\":1.000000000,\"ev\":\"vnf_restart\",\"node\":2}\n"
+            "{\"t\":2.000000000,\"ev\":\"vnf_restart\",\"node\":1}\n"
+            "{\"t\":2.000000000,\"ev\":\"vnf_restart\",\"node\":3}\n");
 }
 
 TEST(MergeEdge, EmptyInputsVanishWithoutATrace) {
@@ -71,7 +71,7 @@ TEST(MergeEdge, EmptyInputsVanishWithoutATrace) {
   obs::EventTrace empty_head = make_trace(&t);
   obs::EventTrace populated = make_trace(&t);
   obs::EventTrace empty_tail = make_trace(&t);
-  populated.node_state(7, true);
+  populated.vnf_restart(7);
 
   // Empty streams in any position contribute zero bytes; a merge with
   // one live input IS that input, byte for byte.

@@ -380,14 +380,14 @@ TEST(Merge, TracesOrderBySimTimeThenInputIndex) {
     tr->set_clock([&t] { return t; });
   }
   t = 0.25;
-  b.node_state(2, true);
+  b.vnf_restart(2);
   t = 0.5;
-  a.node_state(1, true);
-  b.node_state(3, true);  // tie with a's 0.5 record: input order wins
+  a.vnf_restart(1);
+  b.vnf_restart(3);  // tie with a's 0.5 record: input order wins
   t = 10.0;
-  b.node_state(4, false);
+  b.vnf_crash(4);
   t = 9.5;
-  a.node_state(5, false);  // two-digit vs one-digit seconds ordering
+  a.vnf_crash(5);  // two-digit vs one-digit seconds ordering
 
   const std::string merged = obs::merge_traces({&a, &b});
   const auto pos = [&](const char* needle) {

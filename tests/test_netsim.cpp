@@ -5,11 +5,13 @@
 #include <cmath>
 #include <functional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "netsim/loss.hpp"
 #include "netsim/network.hpp"
 #include "netsim/sim.hpp"
+#include "obs/obs.hpp"
 
 using namespace ncfn::netsim;
 
@@ -222,6 +224,46 @@ TEST(Network, TailDropWhenQueueFull) {
   net.sim().run();
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(net.link(0, 1)->stats().dropped_queue, 8u);
+}
+
+TEST(Network, RecordsIntoItsOwnHub) {
+  Network net = make_two_node_net(8e6, 0.05);
+  ASSERT_NE(net.obs(), nullptr);
+  net.obs()->trace.enable();
+  net.sim().schedule(1.0, [&] { net.send(make_dgram(0, 1, 9, 972)); });
+  net.sim().run();
+  const ncfn::obs::Counter* delivered =
+      net.obs()->metrics.find_counter("netsim.link.0-1.delivered");
+  ASSERT_NE(delivered, nullptr);
+  EXPECT_EQ(delivered->value(), 1u);
+  // Records carry the network's simulated time: queued at 1 s, delivered
+  // after 1 ms of serialization and 50 ms of propagation.
+  const std::string& trace = net.obs()->trace.data();
+  EXPECT_NE(trace.find("{\"t\":1.000000000,\"ev\":\"pkt_enq\""),
+            std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("{\"t\":1.051000000,\"ev\":\"pkt_dlv\""),
+            std::string::npos)
+      << trace;
+
+  // A hub swapped in later takes the records of links built afterwards.
+  ncfn::obs::Observability other;
+  net.set_obs(&other);
+  EXPECT_EQ(net.obs(), &other);
+  LinkConfig lc;
+  lc.capacity_bps = 8e6;
+  net.add_link(1, 0, lc);
+  ASSERT_TRUE(net.send(make_dgram(1, 0, 9, 972)));
+  net.sim().run();
+  const ncfn::obs::Counter* back =
+      other.metrics.find_counter("netsim.link.1-0.delivered");
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(back->value(), 1u);
+}
+
+TEST(NetworkDeathTest, SetObsRejectsNull) {
+  Network net(1);
+  EXPECT_DEATH(net.set_obs(nullptr), "Network::set_obs: null hub");
 }
 
 TEST(Network, NoLinkMeansSendFails) {

@@ -665,6 +665,59 @@ TEST(Daemon, SettingsConfigureSessions) {
   EXPECT_EQ(received, 1);
 }
 
+TEST(Daemon, SettingsChangeWithWorkInFlight) {
+  // NC_SETTINGS with a new block size restarts the coding function while
+  // a packet still waits in its lane. The drain already scheduled for it
+  // must find the function alive: the packet is dropped, and the
+  // function then serves the new size.
+  Rig rig;
+  DaemonConfig dcfg;
+  dcfg.vnf = rig.vnf_config();
+  VnfDaemon daemon(rig.net, rig.relay, dcfg);
+  const std::vector<NextHopRate> hops = {
+      NextHopRate{NextHop{rig.dst, 9000}, 1.0}};
+  ctrl::NcSettings settings;
+  settings.generation_blocks =
+      static_cast<std::uint32_t>(rig.params.generation_blocks);
+  settings.block_size = static_cast<std::uint32_t>(rig.params.block_size);
+  settings.sessions = {ctrl::SessionSetting{1, VnfRole::kRecode, 9000}};
+  daemon.handle_signal(settings);
+  daemon.vnf().set_next_hops(1, hops);
+
+  int received = 0;
+  rig.net.bind(rig.dst, 9000, [&](const netsim::Datagram&) { ++received; });
+  std::mt19937 rng(12);
+  const auto first = app::SyntheticProvider(9, rig.params.generation_bytes(),
+                                            rig.params)
+                         .generation(0);
+  coding::Encoder enc(1, first, rng);
+  rig.send_packet(enc.encode_random(), 9000);  // queued at ~1.0008 ms
+
+  coding::CodingParams doubled = rig.params;
+  doubled.block_size *= 2;
+  ctrl::NcSettings resize = settings;
+  resize.block_size = static_cast<std::uint32_t>(doubled.block_size);
+  // After the packet joins the lane, before its ~6.4-us service ends.
+  rig.net.sim().schedule(0.001004, [&] {
+    ASSERT_EQ(rig.net.link(rig.src, rig.relay)->stats().delivered, 1u);
+    daemon.handle_signal(resize);
+    daemon.vnf().set_next_hops(1, hops);
+  });
+  rig.net.sim().run();
+  EXPECT_EQ(daemon.vnf().config().params.block_size, doubled.block_size);
+  EXPECT_EQ(daemon.vnf().stats(1).received, 0u);
+  EXPECT_EQ(received, 0);
+
+  const auto second =
+      app::SyntheticProvider(9, doubled.generation_bytes(), doubled)
+          .generation(0);
+  coding::Encoder enc2(1, second, rng);
+  rig.send_packet(enc2.encode_random(), 9000);
+  rig.net.sim().run();
+  EXPECT_EQ(daemon.vnf().stats(1).received, 1u);
+  EXPECT_EQ(received, 1);
+}
+
 TEST(Daemon, SignalsArriveOverTheNetwork) {
   Rig rig;
   DaemonConfig dcfg;
