@@ -8,6 +8,11 @@
 
 namespace ncfn::app {
 
+namespace {
+constexpr std::size_t kMaxPathsPerReceiver = 6;
+constexpr std::size_t kMaxTrees = 256;
+}  // namespace
+
 std::vector<graph::NodeIdx> MulticastTree::next_hops(
     const graph::Topology& topo, graph::NodeIdx node) const {
   std::vector<graph::NodeIdx> hops;
@@ -19,14 +24,13 @@ std::vector<graph::NodeIdx> MulticastTree::next_hops(
 
 TreePacking pack_trees(const graph::Topology& topo, graph::NodeIdx source,
                        const std::vector<graph::NodeIdx>& receivers,
-                       double lmax_s, const TreePackingLimits& limits,
-                       const std::map<graph::NodeIdx, int>& vnfs_per_dc) {
+                       double lmax_s) {
   TreePacking out;
   if (receivers.empty()) return out;
 
   // Per-receiver candidate paths.
   graph::PathSearchLimits pl;
-  pl.max_paths = limits.max_paths_per_receiver;
+  pl.max_paths = kMaxPathsPerReceiver;
   std::vector<std::vector<graph::Path>> paths;
   paths.reserve(receivers.size());
   for (graph::NodeIdx r : receivers) {
@@ -38,7 +42,7 @@ TreePacking pack_trees(const graph::Topology& topo, graph::NodeIdx source,
   std::set<std::vector<graph::EdgeIdx>> seen;
   std::vector<MulticastTree> candidates;
   std::vector<std::size_t> pick(paths.size(), 0);
-  while (candidates.size() < limits.max_trees) {
+  while (candidates.size() < kMaxTrees) {
     std::set<graph::EdgeIdx> union_edges;
     for (std::size_t k = 0; k < paths.size(); ++k) {
       for (graph::EdgeIdx e : paths[k][pick[k]].edges) union_edges.insert(e);
@@ -57,7 +61,7 @@ TreePacking pack_trees(const graph::Topology& topo, graph::NodeIdx source,
   }
   if (candidates.empty()) return out;
 
-  // LP: maximize sum t_j subject to edge and node capacities.
+  // LP: maximize sum t_j subject to edge capacities.
   lp::Problem lp;
   std::vector<int> tvar;
   tvar.reserve(candidates.size());
@@ -81,28 +85,6 @@ TreePacking pack_trees(const graph::Topology& topo, graph::NodeIdx source,
     }
     lp.add_constraint(std::move(terms), lp::Rel::kLe, cap / 1e6);
   }
-  // Per-DC in/out caps scaled by the deployed VNF count.
-  for (const auto& [v, n] : vnfs_per_dc) {
-    const graph::NodeInfo& ni = topo.node(v);
-    std::vector<lp::Term> in_terms, out_terms;
-    for (std::size_t j = 0; j < candidates.size(); ++j) {
-      bool in = false, outgoing = false;
-      for (graph::EdgeIdx e : candidates[j].edges) {
-        if (topo.edge(e).to == v) in = true;
-        if (topo.edge(e).from == v) outgoing = true;
-      }
-      if (in) in_terms.push_back({tvar[j], 1.0});
-      if (outgoing) out_terms.push_back({tvar[j], 1.0});
-    }
-    if (!in_terms.empty() && std::isfinite(ni.bin_bps)) {
-      lp.add_constraint(std::move(in_terms), lp::Rel::kLe,
-                        n * ni.bin_bps / 1e6);
-    }
-    if (!out_terms.empty() && std::isfinite(ni.bout_bps)) {
-      lp.add_constraint(std::move(out_terms), lp::Rel::kLe,
-                        n * ni.bout_bps / 1e6);
-    }
-  }
 
   const lp::Solution sol = lp.solve();
   if (!sol.ok()) return out;
@@ -119,16 +101,16 @@ TreePacking pack_trees(const graph::Topology& topo, graph::NodeIdx source,
 }
 
 std::vector<std::uint16_t> tree_schedule(
-    const std::vector<MulticastTree>& trees, std::size_t length) {
+    const std::vector<MulticastTree>& trees) {
   std::vector<std::uint16_t> schedule;
   if (trees.empty()) return {0};
-  schedule.reserve(length);
+  schedule.reserve(kScheduleLength);
   double total = 0.0;
   for (const MulticastTree& t : trees) total += t.rate_mbps;
   // Largest-remainder weighted round robin: at each slot pick the tree
   // with the highest accumulated deficit.
   std::vector<double> credit(trees.size(), 0.0);
-  for (std::size_t s = 0; s < length; ++s) {
+  for (std::size_t s = 0; s < kScheduleLength; ++s) {
     std::size_t best = 0;
     for (std::size_t j = 0; j < trees.size(); ++j) {
       credit[j] += trees[j].rate_mbps / total;

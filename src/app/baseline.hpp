@@ -9,7 +9,8 @@
 // routing-only optimum of 52.5 Mbps, versus 70 Mbps with coding.
 //
 // Tree enumeration takes the cartesian product of per-receiver feasible
-// path sets (capped), dedupes by edge set, and packs rates with an LP.
+// path sets (capped at 6 paths per receiver and 256 trees), dedupes by
+// edge set, and packs rates with an LP.
 #pragma once
 
 #include <vector>
@@ -28,10 +29,9 @@ struct MulticastTree {
       const graph::Topology& topo, graph::NodeIdx node) const;
 };
 
-struct TreePackingLimits {
-  std::size_t max_paths_per_receiver = 6;
-  std::size_t max_trees = 256;
-};
+/// Slots in the tree schedule, which repeats every kScheduleLength
+/// generations.
+inline constexpr std::size_t kScheduleLength = 512;
 
 struct TreePacking {
   std::vector<MulticastTree> trees;  // only trees with positive rate
@@ -39,18 +39,16 @@ struct TreePacking {
 };
 
 /// Pack trees for one session: maximize the total rate subject to per-edge
-/// capacities and (optionally) per-DC in/out caps scaled by `vnfs_per_dc`
-/// (pass empty to use edge capacities only).
+/// capacities.
 [[nodiscard]] TreePacking pack_trees(
     const graph::Topology& topo, graph::NodeIdx source,
-    const std::vector<graph::NodeIdx>& receivers, double lmax_s,
-    const TreePackingLimits& limits = {},
-    const std::map<graph::NodeIdx, int>& vnfs_per_dc = {});
+    const std::vector<graph::NodeIdx>& receivers, double lmax_s);
 
-/// Weighted round-robin schedule mapping generation id -> tree index so
-/// that tree i serves a share of generations proportional to its rate.
-/// Deterministic: source and every relay compute the same mapping.
+/// Weighted round-robin schedule of kScheduleLength slots mapping
+/// generation id -> tree index so that tree i serves a share of
+/// generations proportional to its rate. Deterministic: source and every
+/// relay compute the same mapping.
 [[nodiscard]] std::vector<std::uint16_t> tree_schedule(
-    const std::vector<MulticastTree>& trees, std::size_t length = 512);
+    const std::vector<MulticastTree>& trees);
 
 }  // namespace ncfn::app

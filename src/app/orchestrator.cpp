@@ -1,9 +1,7 @@
 #include "app/orchestrator.hpp"
 
 #include <string>
-#include <string_view>
 
-#include "coding/strparse.hpp"
 #include "ctrl/signals.hpp"
 
 namespace ncfn::app {
@@ -12,8 +10,6 @@ namespace {
 /// One-way delay and capacity of the controller <-> DC control links.
 constexpr double kControlLinkDelayS = 0.040;
 constexpr double kControlLinkBps = 100e6;
-/// Port the controller node receives heartbeats on.
-constexpr netsim::Port kHeartbeatPort = 101;
 }  // namespace
 
 Orchestrator::Orchestrator(SimNet& sim, const Config& cfg)
@@ -46,30 +42,7 @@ Orchestrator::Orchestrator(SimNet& sim, const Config& cfg)
     }
     daemons_.emplace(dc, std::move(daemon));
   }
-  if (cfg_.heartbeat_interval_s > 0) {
-    net.bind(ctl_node_, kHeartbeatPort,
-             [this](const netsim::Datagram& d) { on_heartbeat(d); });
-    hb_bound_ = true;
-    for (auto& [dc, daemon] : daemons_) {
-      daemon->start_heartbeats(ctl_node_, kHeartbeatPort,
-                               cfg_.heartbeat_interval_s);
-    }
-  }
   if (cfg_.tick_interval_s > 0) schedule_tick();
-}
-
-Orchestrator::~Orchestrator() {
-  if (hb_bound_) sim_.net().unbind(ctl_node_, kHeartbeatPort);
-}
-
-void Orchestrator::on_heartbeat(const netsim::Datagram& d) {
-  const std::string text(d.payload.begin(), d.payload.end());
-  if (text.rfind("HB ", 0) != 0) return;
-  const auto node =
-      coding::parse_num<graph::NodeIdx>(std::string_view(text).substr(3));
-  if (!node || *node < 0) return;
-  ctl_.heartbeat(*node, sim_.net().sim().now());
-  flush_signals();  // a heartbeat from a down DC revives it (re-solve)
 }
 
 void Orchestrator::schedule_tick() {
@@ -104,7 +77,7 @@ void Orchestrator::flush_signals() {
     netsim::Datagram d;
     d.src = ctl_node_;
     d.dst = static_cast<netsim::NodeId>(dc);
-    d.dst_port = cfg_.daemon.control_port;
+    d.dst_port = vnf::kControlPort;
     d.payload.assign(text.begin(), text.end());
     if (sim_.net().send(std::move(d))) ++dispatched_;
   }
@@ -118,19 +91,6 @@ bool Orchestrator::add_session(const ctrl::SessionSpec& spec) {
 
 void Orchestrator::remove_session(coding::SessionId id) {
   ctl_.remove_session(id, sim_.net().sim().now());
-  flush_signals();
-}
-
-bool Orchestrator::add_receiver(coding::SessionId id,
-                                graph::NodeIdx receiver) {
-  const bool ok = ctl_.add_receiver(id, receiver, sim_.net().sim().now());
-  flush_signals();
-  return ok;
-}
-
-void Orchestrator::remove_receiver(coding::SessionId id,
-                                   graph::NodeIdx receiver) {
-  ctl_.remove_receiver(id, receiver, sim_.net().sim().now());
   flush_signals();
 }
 

@@ -31,17 +31,12 @@ class Orchestrator {
     double probe_interval_s = 600.0;
     /// Period of the controller's housekeeping tick (0 = manual).
     double tick_interval_s = 600.0;
-    /// Period of the daemons' liveness beacons (0 = no heartbeats); pair
-    /// with a nonzero controller.heartbeat_timeout_s so stale DCs are
-    /// declared down at tick() time.
-    double heartbeat_interval_s = 0.0;
   };
 
   /// Builds daemons on every data center of `sim` and a controller node
   /// connected to all of them. The topology must be the one `sim` was
   /// built from.
   Orchestrator(SimNet& sim, const Config& cfg);
-  ~Orchestrator();
 
   Orchestrator(const Orchestrator&) = delete;
   Orchestrator& operator=(const Orchestrator&) = delete;
@@ -49,8 +44,6 @@ class Orchestrator {
   // ---- Session lifecycle (timestamps taken from the simulated clock) ----
   bool add_session(const ctrl::SessionSpec& spec);
   void remove_session(coding::SessionId id);
-  bool add_receiver(coding::SessionId id, graph::NodeIdx receiver);
-  void remove_receiver(coding::SessionId id, graph::NodeIdx receiver);
   /// Per-VM bandwidth measurement for a DC (the iperf3 report).
   void report_vm_bandwidth(graph::NodeIdx dc, double bin_bps,
                            double bout_bps);
@@ -70,7 +63,6 @@ class Orchestrator {
   void schedule_tick();
   void on_probe_report(graph::NodeIdx from_dc, netsim::NodeId peer,
                        std::optional<netsim::Time> rtt);
-  void on_heartbeat(const netsim::Datagram& d);
 
   SimNet& sim_;
   Config cfg_;
@@ -79,7 +71,6 @@ class Orchestrator {
   std::map<graph::NodeIdx, std::unique_ptr<vnf::VnfDaemon>> daemons_;
   std::size_t flushed_ = 0;    // signal-log entries already shipped
   std::size_t dispatched_ = 0;
-  bool hb_bound_ = false;
 };
 
 }  // namespace ncfn::app

@@ -8,7 +8,24 @@ namespace ncfn::app::scenarios {
 
 namespace {
 constexpr double kMbps = 1e6;
-}
+
+// ---- six_datacenters() ----
+constexpr double kVmBinMbps = 400;   // per-VM inbound cap
+constexpr double kVmBoutMbps = 400;  // per-VM outbound cap
+/// C(v): coding rate of one VNF. A cross-region flow traverses two
+/// relay DCs, so the marginal value of one VNF is ~C/2 and deployments
+/// stop being worthwhile as alpha approaches C/2 — C = 400 places the
+/// Fig. 13 zero crossing at the paper's alpha = 200.
+constexpr double kVnfCapacityMbps = 400;
+constexpr double kHostBoutMbps = 500;  // source uplink
+constexpr double kHostBinMbps = 400;   // receiver downlink
+/// Inter-DC path capacities vary deterministically in
+/// [kMeshCapacityBaseMbps, base + spread] Mbps — reaching a receiver's
+/// full downlink needs several (possibly longer) paths, which is what
+/// makes Lmax and alpha meaningful knobs (Figs. 12 and 13).
+constexpr double kMeshCapacityBaseMbps = 100;
+constexpr double kMeshCapacitySpreadMbps = 140;
+}  // namespace
 
 Butterfly butterfly(bool with_direct_links) {
   Butterfly b;
@@ -102,9 +119,9 @@ SixDc six_datacenters(const SixDcParams& p) {
     graph::NodeInfo ni;
     ni.name = names[i];
     ni.kind = graph::NodeKind::kDataCenter;
-    ni.bin_bps = p.vm_bin_mbps * kMbps;
-    ni.bout_bps = p.vm_bout_mbps * kMbps;
-    ni.vnf_capacity_bps = p.vnf_capacity_mbps * kMbps;
+    ni.bin_bps = kVmBinMbps * kMbps;
+    ni.bout_bps = kVmBoutMbps * kMbps;
+    ni.vnf_capacity_bps = kVnfCapacityMbps * kMbps;
     out.dcs.push_back(t.add_node(ni));
   }
   // Several hosts per region: each session endpoint gets its own VM, and
@@ -116,8 +133,8 @@ SixDc six_datacenters(const SixDcParams& p) {
       graph::NodeInfo ni;
       ni.name = std::string("host-") + names[i] + "-" + std::to_string(h);
       ni.kind = graph::NodeKind::kHost;
-      ni.bout_bps = p.host_bout_mbps * kMbps;
-      ni.bin_bps = p.host_bin_mbps * kMbps;
+      ni.bout_bps = kHostBoutMbps * kMbps;
+      ni.bin_bps = kHostBinMbps * kMbps;
       out.hosts.push_back(t.add_node(ni));
     }
   }
@@ -126,9 +143,9 @@ SixDc six_datacenters(const SixDcParams& p) {
     for (int j = 0; j < 6; ++j) {
       if (i == j) continue;
       const double cap =
-          (p.mesh_capacity_base_mbps +
+          (kMeshCapacityBaseMbps +
            static_cast<double>((i * 7 + j * 13) % 8) / 7.0 *
-               p.mesh_capacity_spread_mbps) *
+               kMeshCapacitySpreadMbps) *
           kMbps;
       t.add_edge(out.dcs[static_cast<std::size_t>(i)],
                  out.dcs[static_cast<std::size_t>(j)], d[i][j], cap);
@@ -139,9 +156,9 @@ SixDc six_datacenters(const SixDcParams& p) {
   for (std::size_t h = 0; h < out.hosts.size(); ++h) {
     const std::size_t region = h / static_cast<std::size_t>(p.hosts_per_region);
     t.add_edge(out.hosts[h], out.dcs[region], 0.002,
-               p.host_bout_mbps * kMbps);
+               kHostBoutMbps * kMbps);
     t.add_edge(out.dcs[region], out.hosts[h], 0.002,
-               p.host_bin_mbps * kMbps);
+               kHostBinMbps * kMbps);
   }
   return out;
 }

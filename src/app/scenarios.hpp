@@ -54,21 +54,6 @@ struct SixDc {
 };
 
 struct SixDcParams {
-  double vm_bin_mbps = 400;   // per-VM inbound cap
-  double vm_bout_mbps = 400;  // per-VM outbound cap
-  /// C(v): coding rate of one VNF. A cross-region flow traverses two
-  /// relay DCs, so the marginal value of one VNF is ~C/2 and deployments
-  /// stop being worthwhile as alpha approaches C/2 — C = 400 places the
-  /// Fig. 13 zero crossing at the paper's alpha = 200.
-  double vnf_capacity_mbps = 400;
-  double host_bout_mbps = 500;     // source uplink
-  double host_bin_mbps = 400;      // receiver downlink
-  /// Inter-DC path capacities vary deterministically in
-  /// [mesh_capacity_base, base + spread] Mbps — reaching a receiver's full
-  /// downlink needs several (possibly longer) paths, which is what makes
-  /// Lmax and alpha meaningful knobs (Figs. 12 and 13).
-  double mesh_capacity_base_mbps = 100;
-  double mesh_capacity_spread_mbps = 140;
   /// Hosts provisioned per region. Each session endpoint is its own VM
   /// (as on the paper's testbed), so enough hosts must exist for all
   /// concurrent sessions' endpoints to be distinct.

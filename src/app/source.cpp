@@ -54,12 +54,15 @@ void McSource::reconfigure_hops(
   // Resume from the least-advanced generation across the old pacers: the
   // new edge set must not skip a generation some receiver never got, and
   // redundant coded packets for already-decoded generations are harmless.
-  coding::GenerationId resume = provider_.generation_count();
+  // With no old pacer, resume where the stream stopped.
+  coding::GenerationId resume =
+      pacers_.empty() ? idle_cursor_ : provider_.generation_count();
   std::deque<Feedback> pending;
   for (Pacer& p : pacers_) {
     resume = std::min(resume, p.gen_cursor);
     for (const Feedback& fb : p.repair_queue) pending.push_back(fb);
   }
+  idle_cursor_ = resume;
   ++pacer_epoch_;  // invalidate every tick scheduled against the old pacers
   configure_hops(std::move(hops));
   for (Pacer& p : pacers_) p.gen_cursor = resume;
@@ -112,7 +115,6 @@ void McSource::configure_trees(const graph::Topology& topo,
 }
 
 void McSource::start() {
-  assert(!pacers_.empty() && "configure hops or trees before start()");
   started_ = true;
   start_time_ = net_.sim().now();
   for (std::size_t i = 0; i < pacers_.size(); ++i) {
@@ -179,10 +181,6 @@ void McSource::send_packet(Pacer& p, const coding::CodedPacket& pkt,
 
 void McSource::pacer_tick(std::size_t idx) {
   Pacer& p = pacers_[idx];
-  if (!started_) {
-    p.running = false;
-    return;
-  }
   bool emitted = false;
 
   if (!p.repair_queue.empty()) {

@@ -70,7 +70,8 @@ class McSource {
   /// failure): pacers are rebuilt for the new edges, generation progress
   /// resumes from the least-advanced old pacer (a little duplication on
   /// the fast edges beats losing a generation on the slow ones — coded
-  /// duplicates are harmless), and stale pacer ticks are invalidated.
+  /// duplicates are harmless) or, with none, where the stream stopped,
+  /// and stale pacer ticks are invalidated.
   /// `lambda_mbps` > 0 adopts the re-solved session rate for the
   /// per-generation quotas.
   void reconfigure_hops(std::vector<std::pair<ctrl::NextHop, double>> hops,
@@ -81,6 +82,7 @@ class McSource {
   void configure_trees(const graph::Topology& topo,
                        std::vector<MulticastTree> trees);
 
+  /// Starts pacing; a source with no hop idles until a rewire gives it one.
   void start();
 
   [[nodiscard]] bool data_exhausted() const;
@@ -128,6 +130,9 @@ class McSource {
   std::vector<std::uint16_t> schedule_;
   std::vector<Pacer> pacers_;
   std::uint64_t pacer_epoch_ = 0;  // bumped when pacers_ is rebuilt live
+  // Stream position while no pacer runs: where a rewire that brings
+  // hops back resumes.
+  coding::GenerationId idle_cursor_ = 0;
 
   // Generations being emitted, materialized on first use: the clock
   // generations and whatever repairs are being served.

@@ -192,13 +192,6 @@ void Controller::apply_better(DeploymentPlan a, DeploymentPlan b,
 bool Controller::add_session(const SessionSpec& spec, double now_s) {
   sessions_.push_back(spec);
 
-  // Settings + start signals for the new session's endpoints.
-  NcSettings settings;
-  settings.sessions.push_back(SessionSetting{
-      spec.id, VnfRole::kRecode, session_data_port(spec.id)});
-  emit(now_s, static_cast<std::uint32_t>(spec.source), settings);
-  emit(now_s, static_cast<std::uint32_t>(spec.source), NcStart{spec.id});
-
   // Solve for the new session only, on top of the current deployment and
   // the existing sessions' flows.
   DeploymentPlan next = solve_for({spec.id}, VnfRule::kFloor);
@@ -214,6 +207,12 @@ bool Controller::add_session(const SessionSpec& spec, double now_s) {
       return false;
     }
   }
+  // Settings + start signals for the admitted session's endpoints.
+  NcSettings settings;
+  settings.sessions.push_back(SessionSetting{
+      spec.id, VnfRole::kRecode, session_data_port(spec.id)});
+  emit(now_s, static_cast<std::uint32_t>(spec.source), settings);
+  emit(now_s, static_cast<std::uint32_t>(spec.source), NcStart{spec.id});
   apply_plan(std::move(next), now_s);
   return true;
 }

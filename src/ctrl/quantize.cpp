@@ -46,8 +46,7 @@ QuantizeResult quantize_plan(DeploymentPlan& plan,
 
     // Walk lambda down one quantum at a time until every receiver's
     // floored per-generation counts sum to >= g. Each step enlarges every
-    // count monotonically, so this terminates quickly (and certainly by
-    // lambda = max path rate / 1, where the largest path alone covers g).
+    // count monotonically, so this terminates quickly.
     double lambda_q = lambda;
     const double quantum = lambda / g;
     while (lambda_q > quantum - kEps &&
@@ -55,8 +54,17 @@ QuantizeResult quantize_plan(DeploymentPlan& plan,
       lambda_q -= quantum;
     }
     if (lambda_q <= quantum - kEps) {
-      // Degenerate (e.g., a receiver with no paths): zero the session.
-      lambda_q = 0.0;
+      // No step was integral (at g = 1 the only steps are lambda and 0).
+      // At the smallest best-path rate across receivers, each receiver's
+      // best path alone carries g packets per generation; only a receiver
+      // with no path zeroes the session.
+      lambda_q = lambda;
+      for (const auto& paths : receivers) {
+        double best = 0.0;
+        for (const PathRate& pr : paths) best = std::max(best, pr.rate_mbps);
+        lambda_q = std::min(lambda_q, best);
+      }
+      if (lambda_q <= kEps) lambda_q = 0.0;
     }
 
     if (lambda_q < lambda - kEps) {

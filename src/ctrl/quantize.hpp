@@ -32,8 +32,9 @@ struct QuantizeResult {
 /// Quantize every session of `plan` in place for generations of
 /// `generation_blocks` blocks. Edge rates f_m(e) are recomputed from the
 /// snapped path rates; VNF counts are left unchanged (they covered the
-/// larger rates, so they still cover). Sessions whose lambda is 0 or that
-/// cannot reach integrality even at one quantum are zeroed.
+/// larger rates, so they still cover). A session that no quantum step
+/// makes integral runs at its receivers' smallest best-path rate, and a
+/// session with a receiver that has no path is zeroed.
 QuantizeResult quantize_plan(DeploymentPlan& plan,
                              std::size_t generation_blocks);
 

@@ -5,11 +5,13 @@
 namespace ncfn::graph {
 
 namespace {
+/// DFS safety valve: expansions before the search gives up.
+constexpr std::size_t kMaxExpansions = 100000;
+
 struct DfsState {
   const Topology& topo;
   NodeIdx dst;
   double lmax;
-  const PathSearchLimits& limits;
   std::vector<bool> visited;
   std::vector<NodeIdx> nodes;
   std::vector<EdgeIdx> edges;
@@ -19,7 +21,7 @@ struct DfsState {
 };
 
 void dfs(DfsState& s, NodeIdx at) {
-  if (s.expansions++ > s.limits.max_expansions) return;
+  if (s.expansions++ > kMaxExpansions) return;
   if (at == s.dst) {
     s.found.push_back(Path{s.nodes, s.edges, s.delay});
     return;
@@ -51,7 +53,7 @@ void dfs(DfsState& s, NodeIdx at) {
 std::vector<Path> feasible_paths(const Topology& topo, NodeIdx src,
                                  NodeIdx dst, double lmax_s,
                                  const PathSearchLimits& limits) {
-  DfsState s{topo, dst, lmax_s, limits,
+  DfsState s{topo, dst, lmax_s,
              std::vector<bool>(static_cast<std::size_t>(topo.node_count()),
                                false),
              {}, {}, 0.0, 0, {}};

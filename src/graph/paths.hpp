@@ -10,7 +10,8 @@
 // relayed through another session's host). The direct source→destination
 // edge, if present and within the delay bound, is always included. Paths
 // are returned sorted by delay; `max_paths` caps the set (the paper notes
-// candidate DC counts of 5–20 keep this search small).
+// candidate DC counts of 5–20 keep this search small), and the search stops
+// after 100,000 DFS expansions.
 #pragma once
 
 #include <cstddef>
@@ -40,12 +41,12 @@ struct Path {
 };
 
 struct PathSearchLimits {
-  std::size_t max_paths = 32;       // keep the lowest-delay paths
-  std::size_t max_expansions = 100000;  // DFS safety valve
+  std::size_t max_paths = 32;  // keep the lowest-delay paths
 };
 
 /// All simple src→dst paths with total delay <= lmax_s whose interior
-/// nodes are data centers, lowest delay first, truncated to limits.
+/// nodes are data centers, lowest delay first, truncated to
+/// `limits.max_paths`.
 [[nodiscard]] std::vector<Path> feasible_paths(const Topology& topo,
                                                NodeIdx src, NodeIdx dst,
                                                double lmax_s,

@@ -8,6 +8,10 @@
 namespace ncfn::netsim {
 
 namespace {
+constexpr Time kMinRto = 0.2;
+// Receiver window in packets: large enough never to bind (no flow control).
+constexpr std::size_t kReceiverWindow = 4096;
+
 // 8-byte sequence number rides in the payload; the rest is padding up to
 // the segment size so the link charges realistic serialization time.
 std::vector<std::uint8_t> encode_seq(std::uint64_t seq, std::size_t size) {
@@ -32,7 +36,7 @@ TcpTransfer::TcpTransfer(Network& net, NodeId src, NodeId dst, Port port,
       ack_port_(static_cast<Port>(port + 1)),
       cfg_(cfg),
       on_complete_(std::move(on_complete)),
-      total_segments_((total_bytes + cfg.mss - 1) / cfg.mss),
+      total_segments_((total_bytes + kTcpMss - 1) / kTcpMss),
       ssthresh_(cfg.initial_ssthresh) {
   assert(total_segments_ > 0);
 }
@@ -54,7 +58,7 @@ void TcpTransfer::start() {
 
 void TcpTransfer::send_window() {
   const auto wnd = static_cast<Seq>(
-      std::min(cwnd_, static_cast<double>(cfg_.receiver_window)));
+      std::min(cwnd_, static_cast<double>(kReceiverWindow)));
   while (snd_nxt_ < total_segments_ && snd_nxt_ < snd_una_ + wnd) {
     send_segment(snd_nxt_, /*is_retransmit=*/false);
     ++snd_nxt_;
@@ -75,7 +79,7 @@ void TcpTransfer::send_segment(Seq seq, bool is_retransmit) {
   d.src = src_;
   d.dst = dst_;
   d.dst_port = data_port_;
-  d.payload = encode_seq(seq, cfg_.mss);
+  d.payload = encode_seq(seq, kTcpMss);
   net_.send(std::move(d));
 }
 
@@ -112,7 +116,7 @@ void TcpTransfer::on_ack(Seq cumulative_ack) {
         rttvar_ = 0.75 * rttvar_ + 0.25 * std::abs(srtt_ - sample);
         srtt_ = 0.875 * srtt_ + 0.125 * sample;
       }
-      rto_ = std::clamp(srtt_ + 4 * rttvar_, cfg_.min_rto, cfg_.max_rto);
+      rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, cfg_.max_rto);
     }
     const Seq newly = cumulative_ack - snd_una_;
     snd_una_ = cumulative_ack;

@@ -17,12 +17,12 @@
 
 namespace ncfn::netsim {
 
+/// Payload bytes per segment.
+inline constexpr std::size_t kTcpMss = 1460;
+
 struct TcpConfig {
-  std::size_t mss = 1460;        // payload bytes per segment
   double initial_ssthresh = 64;  // packets
-  Time min_rto = 0.2;
   Time max_rto = 60.0;
-  std::size_t receiver_window = 4096;  // packets (effectively unlimited)
 };
 
 struct TcpStats {
@@ -57,7 +57,7 @@ class TcpTransfer {
   [[nodiscard]] const TcpStats& stats() const { return stats_; }
   /// Bytes cumulatively acknowledged so far.
   [[nodiscard]] std::size_t bytes_acked() const {
-    return static_cast<std::size_t>(snd_una_) * cfg_.mss;
+    return static_cast<std::size_t>(snd_una_) * kTcpMss;
   }
 
  private:

@@ -17,11 +17,11 @@ VnfDaemon::VnfDaemon(netsim::Network& net, netsim::NodeId node,
   m_vnf_starts_ = &obs_->metrics.counter("vnf.starts");
   m_shutdowns_ = &obs_->metrics.counter("vnf.shutdowns");
   m_shutdowns_cancelled_ = &obs_->metrics.counter("vnf.shutdowns_cancelled");
-  net_.bind(node_, cfg_.control_port,
+  net_.bind(node_, kControlPort,
             [this](const netsim::Datagram& d) { on_control_datagram(d); });
 }
 
-VnfDaemon::~VnfDaemon() { net_.unbind(node_, cfg_.control_port); }
+VnfDaemon::~VnfDaemon() { net_.unbind(node_, kControlPort); }
 
 void VnfDaemon::on_control_datagram(const netsim::Datagram& d) {
   ++stats_.signals_received;
@@ -106,8 +106,7 @@ void VnfDaemon::apply_table(const ctrl::NcForwardTab& t) {
   // the number of entries that actually changed (Table III).
   const std::size_t changed =
       ctrl::ForwardingTable::diff_entries(table_, t.table);
-  const double cost =
-      static_cast<double>(changed) * cfg_.table_entry_apply_s;
+  const double cost = static_cast<double>(changed) * kTableEntryApplyS;
   vnf_.pause();
   stats_.last_table_update_cost_s = cost;
   ++stats_.table_updates;
@@ -143,26 +142,6 @@ void VnfDaemon::probe_round() {
     if (probe_report_) probe_report_(peer, bw, rtt);
   }
   net_.sim().schedule(probe_interval_s_, [this] { probe_round(); });
-}
-
-void VnfDaemon::start_heartbeats(netsim::NodeId controller, netsim::Port port,
-                                 double interval_s) {
-  hb_target_ = controller;
-  hb_port_ = port;
-  hb_interval_s_ = interval_s;
-  net_.sim().schedule(hb_interval_s_, [this] { heartbeat_round(); });
-}
-
-void VnfDaemon::heartbeat_round() {
-  netsim::Datagram d;
-  d.src = node_;
-  d.dst = hb_target_;
-  d.dst_port = hb_port_;
-  d.payload = net_.take_buffer();
-  const std::string text = "HB " + std::to_string(node_);
-  d.payload.assign(text.begin(), text.end());
-  net_.send(std::move(d));
-  net_.sim().schedule(hb_interval_s_, [this] { heartbeat_round(); });
 }
 
 }  // namespace ncfn::vnf

@@ -25,10 +25,14 @@
 
 namespace ncfn::vnf {
 
+/// Port every daemon receives NC_* signals on.
+inline constexpr netsim::Port kControlPort = 100;
+/// Forwarding-table apply cost per changed entry: case (iii) of
+/// Sec. V.C.5 (Table III).
+inline constexpr double kTableEntryApplyS = 0.031;
+
 struct DaemonConfig {
-  netsim::Port control_port = 100;
-  double vnf_start_s = 0.376;         // case (ii) of Sec. V.C.5
-  double table_entry_apply_s = 0.031;  // case (iii), per changed entry
+  double vnf_start_s = 0.376;  // case (ii) of Sec. V.C.5
   VnfConfig vnf;
 };
 
@@ -70,19 +74,11 @@ class VnfDaemon {
                     ProbeReport report);
   void stop_probes() { probing_ = false; }
 
-  /// Periodic liveness beacon: a tiny "HB <node>" datagram to the
-  /// controller node's heartbeat port every `interval_s`. Heartbeats ride
-  /// the same simulated links as everything else, so a severed control
-  /// path starves the controller's liveness tracker.
-  void start_heartbeats(netsim::NodeId controller, netsim::Port port,
-                        double interval_s);
-
  private:
   void on_control_datagram(const netsim::Datagram& d);
   void apply_settings(const ctrl::NcSettings& s);
   void apply_table(const ctrl::NcForwardTab& t);
   void probe_round();
-  void heartbeat_round();
 
   netsim::Network& net_;
   netsim::NodeId node_;
@@ -105,10 +101,6 @@ class VnfDaemon {
   std::vector<netsim::NodeId> probe_peers_;
   double probe_interval_s_ = 600;
   ProbeReport probe_report_;
-
-  netsim::NodeId hb_target_ = 0;
-  netsim::Port hb_port_ = 0;
-  double hb_interval_s_ = 1.0;
 };
 
 }  // namespace ncfn::vnf

@@ -123,11 +123,12 @@ TEST(Baseline, ScheduleSharesMatchRates) {
   std::vector<MulticastTree> trees(2);
   trees[0].rate_mbps = 30;
   trees[1].rate_mbps = 10;
-  const auto sched = tree_schedule(trees, 400);
-  ASSERT_EQ(sched.size(), 400u);
+  const auto sched = tree_schedule(trees);
+  ASSERT_EQ(sched.size(), kScheduleLength);
   int c0 = 0;
   for (auto s : sched) c0 += s == 0 ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(c0) / 400.0, 0.75, 0.02);
+  EXPECT_NEAR(static_cast<double>(c0) / static_cast<double>(kScheduleLength),
+              0.75, 0.02);
 }
 
 TEST(Baseline, ScheduleNeverStarvesATree) {
@@ -135,7 +136,7 @@ TEST(Baseline, ScheduleNeverStarvesATree) {
   trees[0].rate_mbps = 100;
   trees[1].rate_mbps = 1;
   trees[2].rate_mbps = 1;
-  const auto sched = tree_schedule(trees, 512);
+  const auto sched = tree_schedule(trees);
   std::set<std::uint16_t> seen(sched.begin(), sched.end());
   EXPECT_EQ(seen.size(), 3u);
 }

@@ -5,6 +5,7 @@
 
 #include "app/scenarios.hpp"
 #include "ctrl/controller.hpp"
+#include "obs/obs.hpp"
 
 using namespace ncfn;
 using namespace ncfn::ctrl;
@@ -253,6 +254,35 @@ TEST(Controller, FixedRateSessionAdmissionAndRejection) {
   // The rejected session must not linger in controller state.
   EXPECT_EQ(ctl.sessions().size(), 1u);
   EXPECT_NEAR(ctl.total_throughput_mbps(), 50.0, 1e-6);
+}
+
+TEST(Controller, RejectedJoinAnnouncesNothing) {
+  // A rejected join emits no NC_SETTINGS or NC_START: not in the signal
+  // log, not in the ctrl.signals_emitted.* counters, not in the trace.
+  const auto net = app::scenarios::six_datacenters();
+  Controller ctl(net.topo, base_config());
+  obs::Observability hub;
+  hub.trace.enable();
+  ctl.set_obs(&hub);
+  SessionSpec ok = session_between(net, 1, 0, {14});
+  ok.fixed_rate_mbps = 50.0;
+  ASSERT_TRUE(ctl.add_session(ok, 0.0));
+  const std::size_t logged = ctl.signal_log().size();
+  const std::size_t traced = hub.trace.record_count();
+  const std::uint64_t settings =
+      hub.metrics.counter_value("ctrl.signals_emitted.NC_SETTINGS");
+  const std::uint64_t starts =
+      hub.metrics.counter_value("ctrl.signals_emitted.NC_START");
+
+  SessionSpec impossible = session_between(net, 2, 2, {15});
+  impossible.fixed_rate_mbps = 5000.0;
+  ASSERT_FALSE(ctl.add_session(impossible, 1.0));
+  EXPECT_EQ(ctl.signal_log().size(), logged);
+  EXPECT_EQ(hub.trace.record_count(), traced);
+  EXPECT_EQ(hub.metrics.counter_value("ctrl.signals_emitted.NC_SETTINGS"),
+            settings);
+  EXPECT_EQ(hub.metrics.counter_value("ctrl.signals_emitted.NC_START"),
+            starts);
 }
 
 TEST(Controller, RemoveUnknownSessionIsNoop) {

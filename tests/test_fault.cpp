@@ -13,6 +13,7 @@
 #include "app/config.hpp"
 #include "app/provider.hpp"
 #include "app/runtime.hpp"
+#include "app/shard.hpp"
 #include "coding/encoder.hpp"
 #include "ctrl/controller.hpp"
 #include "ctrl/problem.hpp"
@@ -277,7 +278,9 @@ TEST(ControllerFailure, NodeRevivalKeepsASeparatelyFailedLinkDown) {
 
 namespace {
 
-constexpr char kFaultScenario[] = R"(
+// The diamond of tools/scenarios/diamond_fault.ncfn: the session needs
+// both DC paths for full rate, and R->S carries the feedback.
+constexpr char kDiamond[] = R"(
 node S host
 node A dc bin=1000 bout=1000 cap=1000
 node B dc bin=1000 bout=1000 cap=1000
@@ -287,7 +290,9 @@ duplex S B 2 100
 duplex A R 2 100
 duplex B R 2 100
 edge R S 5 10
-session 1 S -> R lmax=500 maxrate=150
+)";
+
+constexpr char kFaultLines[] = R"(session 1 S -> R lmax=500 maxrate=150
 fail A R at=0.5 for=1.0
 crash A at=0.6 for=0.4
 )";
@@ -303,7 +308,8 @@ struct FaultRun {
 
 FaultRun run_fault_scenario(std::uint32_t seed) {
   app::ParseError err;
-  const auto scenario = app::parse_scenario(kFaultScenario, &err);
+  const auto scenario =
+      app::parse_scenario(std::string(kDiamond) + kFaultLines, &err);
   EXPECT_TRUE(scenario.has_value()) << err.message;
   FaultRun out;
   if (!scenario) return out;
@@ -392,6 +398,58 @@ TEST(FaultEndToEnd, IdenticalSeedsAreByteIdentical) {
   const FaultRun b = run_fault_scenario(7);
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_FALSE(a.trace.empty());
+}
+
+// ---------------------------------------------------------------------------
+// A source with no hop, run through app::ScenarioRun as ncfn-run runs it.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Plans the diamond plus `extra` lines and runs it for 5 s at seed 7.
+std::vector<app::ReceiverReport> run_diamond(const std::string& extra) {
+  app::ParseError err;
+  const auto scenario = app::parse_scenario(kDiamond + extra, &err);
+  EXPECT_TRUE(scenario.has_value()) << err.message;
+  if (!scenario) return {};
+  ctrl::DeploymentProblem prob;
+  prob.topo = &scenario->topo;
+  prob.sessions = scenario->sessions;
+  prob.alpha = scenario->alpha;
+  const ctrl::DeploymentPlan plan = ctrl::solve_deployment(prob);
+  EXPECT_TRUE(plan.feasible);
+  if (!plan.feasible) return {};
+  app::RunOptions opts;
+  opts.duration_s = 5.0;
+  app::ScenarioRun run(*scenario, plan, opts);
+  run.run();
+  return run.reports();
+}
+
+}  // namespace
+
+TEST(FaultEndToEnd, SourceResumesWhenItsHopsComeBack) {
+  // A->R is down over [0.5, 1.5) s and B->R over [0.6, 1.1) s, so the
+  // re-solve at 0.6 s leaves the source no hop. When B->R comes back the
+  // source must resume where it stopped, not past the end of its data.
+  const auto rows = run_diamond(
+      "session 1 S -> R lmax=500 maxrate=150\n"
+      "fail A R at=0.5 for=1\n"
+      "fail B R at=0.6 for=0.5\n");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].verify_failures, 0u);
+  // About 0.6 s of data reaches R if the source stops at 0.6 s.
+  EXPECT_GT(rows[0].goodput_mbps, 80.0);
+}
+
+TEST(FaultEndToEnd, ZeroRateSessionRunsToTheEnd) {
+  // lmax = 1 ms admits no path: the plan gives the session no rate, so
+  // its source has no hop. It idles, and the run ends normally.
+  const auto rows = run_diamond("session 1 S -> R lmax=1 maxrate=150\n");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].planned_mbps, 0.0);
+  EXPECT_EQ(rows[0].goodput_mbps, 0.0);
+  EXPECT_EQ(rows[0].verify_failures, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -162,6 +162,28 @@ TEST(Quantize, LargerGenerationsNeedLessReduction) {
   EXPECT_LE(r16.rate_lost_mbps, r4.rate_lost_mbps + 1e-6);
 }
 
+TEST(Quantize, SingleBlockGenerationsKeepTheBestPathRate) {
+  // At g = 1 the only quantum steps are lambda = 70 and 0, and neither is
+  // integral for the butterfly's two 35-Mbps paths per receiver. Each
+  // receiver's best path alone carries the generation's one packet at
+  // lambda' = 35, so the session keeps that rate and all its edges.
+  auto plan = butterfly_plan(0, 0);
+  ASSERT_TRUE(plan.feasible);
+  ASSERT_NEAR(plan.lambda_mbps[0], 70.0, 1e-6);
+  const auto before = plan.edge_rate_mbps[0];
+  const QuantizeResult result = quantize_plan(plan, 1);
+  EXPECT_EQ(result.sessions_reduced, 1);
+  EXPECT_NEAR(plan.lambda_mbps[0], 35.0, 1e-6);
+  EXPECT_GE(min_packets_per_generation(plan, 0, 1), 1);
+  ASSERT_EQ(plan.edge_rate_mbps[0].size(), before.size());
+  for (const auto& [e, r] : before) {
+    const auto it = plan.edge_rate_mbps[0].find(e);
+    ASSERT_NE(it, plan.edge_rate_mbps[0].end()) << "edge " << e;
+    EXPECT_GT(it->second, 0.0) << "edge " << e;
+    EXPECT_LE(it->second, r + 1e-6) << "edge " << e;
+  }
+}
+
 TEST(Quantize, PathlessReceiverZerosSessionAndCountsIt) {
   // A re-solve after a failure can leave a receiver with no surviving
   // paths; no lambda > 0 reaches integrality for it, so the session is

@@ -727,7 +727,7 @@ TEST(Daemon, SignalsArriveOverTheNetwork) {
   netsim::Datagram d;
   d.src = rig.src;
   d.dst = rig.relay;
-  d.dst_port = dcfg.control_port;
+  d.dst_port = kControlPort;
   const std::string text = ctrl::serialize(ctrl::Signal{ctrl::NcStart{1}});
   d.payload.assign(text.begin(), text.end());
   ASSERT_TRUE(rig.net.send(std::move(d)));
@@ -744,7 +744,7 @@ TEST(Daemon, MalformedControlMessageCounted) {
   netsim::Datagram d;
   d.src = rig.src;
   d.dst = rig.relay;
-  d.dst_port = dcfg.control_port;
+  d.dst_port = kControlPort;
   const std::string text = "GARBAGE\nEND\n";
   d.payload.assign(text.begin(), text.end());
   rig.net.send(std::move(d));
@@ -764,7 +764,7 @@ TEST(Daemon, TableUpdateCostScalesWithChangedEntries) {
   }
   daemon.handle_signal(ctrl::NcForwardTab{t1});
   const double full = daemon.stats().last_table_update_cost_s;
-  EXPECT_NEAR(full, 10 * dcfg.table_entry_apply_s, 1e-9);
+  EXPECT_NEAR(full, 10 * kTableEntryApplyS, 1e-9);
   rig.net.sim().run();
 
   // Change 2 of 10 entries: cost is 20% of the full update.
@@ -773,7 +773,7 @@ TEST(Daemon, TableUpdateCostScalesWithChangedEntries) {
   t2.set(2, {NextHop{rig.dst, 2}});
   daemon.handle_signal(ctrl::NcForwardTab{t2});
   EXPECT_NEAR(daemon.stats().last_table_update_cost_s,
-              2 * dcfg.table_entry_apply_s, 1e-9);
+              2 * kTableEntryApplyS, 1e-9);
 }
 
 TEST(Daemon, VnfEndShutsDownAfterTauUnlessReused) {
