@@ -26,6 +26,12 @@ int main() {
 
   const double kDuration = 10.0;
   coding::CodingParams params;
+  // Mbps delivered in each one-second step, from a running byte count.
+  const auto per_second = [](std::uint64_t now_bytes, std::uint64_t& prev) {
+    const double mbps = static_cast<double>(now_bytes - prev) * 8.0 / 1e6;
+    prev = now_bytes;
+    return mbps;
+  };
 
   // ---- NC session ----
   std::vector<double> nc_series;
@@ -36,13 +42,14 @@ int main() {
     app::SimNet sim(b.topo);
     app::SessionWiring wiring;
     wiring.vnf.params = params;
-    wiring.sample_interval_s = 1.0;
     app::NcMulticastSession session(sim, plan, 0, butterfly_session(b),
                                     provider, wiring);
     session.start();
+    std::uint64_t prev = 0;
     for (int t = 1; t <= static_cast<int>(kDuration); ++t) {
       sim.net().sim().run_until(t);
-      nc_series.push_back(session.receiver(0).windowed_goodput_mbps(1.0));
+      nc_series.push_back(
+          per_second(session.receiver(0).stats().payload_bytes, prev));
     }
   }
 
@@ -56,13 +63,14 @@ int main() {
     app::SimNet sim(b.topo);
     app::SessionWiring wiring;
     wiring.vnf.params = params;
-    wiring.sample_interval_s = 1.0;
     app::TreeMulticastSession session(sim, packing, butterfly_session(b),
                                       provider, wiring);
     session.start();
+    std::uint64_t prev = 0;
     for (int t = 1; t <= static_cast<int>(kDuration); ++t) {
       sim.net().sim().run_until(t);
-      tree_series.push_back(session.receiver(0).windowed_goodput_mbps(1.0));
+      tree_series.push_back(
+          per_second(session.receiver(0).stats().payload_bytes, prev));
     }
   }
 
@@ -77,12 +85,10 @@ int main() {
     netsim::TcpTransfer tcp(sim.net(), sim.node(bd.source),
                             sim.node(bd.recv_o2), 5000, bytes, tcfg);
     tcp.start();
-    std::size_t prev = 0;
+    std::uint64_t prev = 0;
     for (int t = 1; t <= static_cast<int>(kDuration); ++t) {
       sim.net().sim().run_until(t);
-      const std::size_t now_bytes = tcp.bytes_acked();
-      tcp_series.push_back(static_cast<double>(now_bytes - prev) * 8.0 / 1e6);
-      prev = now_bytes;
+      tcp_series.push_back(per_second(tcp.bytes_acked(), prev));
     }
   }
 

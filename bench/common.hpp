@@ -82,7 +82,6 @@ inline ButterflyRunResult run_nc_butterfly(const ButterflyRunConfig& cfg) {
   wiring.vnf.proc_rate_Bps = cfg.proc_rate_Bps;
   wiring.redundancy = cfg.redundancy;
   wiring.repair_timeout_s = 0.3;
-  wiring.sample_interval_s = 0.5;
   wiring.seed = cfg.seed + 11;
   app::NcMulticastSession session(sim, plan, 0, butterfly_session(b),
                                   provider, wiring);
@@ -130,7 +129,6 @@ inline ButterflyRunResult run_tree_butterfly(const ButterflyRunConfig& cfg) {
   wiring.vnf.params = cfg.params;
   wiring.vnf.proc_rate_Bps = cfg.proc_rate_Bps;
   wiring.repair_timeout_s = 0.3;
-  wiring.sample_interval_s = 0.5;
   wiring.seed = cfg.seed + 13;
   app::TreeMulticastSession session(sim, packing, butterfly_session(b),
                                     provider, wiring);

@@ -6,6 +6,7 @@
 // routing-only goodput, per-relay coding statistics, and verifies every
 // decoded byte.
 #include <cstdio>
+#include <string>
 
 #include "app/baseline.hpp"
 #include "app/provider.hpp"
@@ -62,15 +63,19 @@ int main() {
                   mc.receiver(k).complete() ? "yes" : "no",
                   static_cast<unsigned long long>(st.verify_failures));
     }
+    // Each relay's coding function counts its packets per node.
     for (const graph::NodeIdx v : {b.o1, b.c1, b.t, b.v2}) {
-      if (const auto* relay = sim.find_vnf(v)) {
-        const auto& s = relay->stats(1);
-        std::printf("  relay %-14s in=%llu out=%llu innovative=%.1f%%\n",
-                    b.topo.node(v).name.c_str(),
-                    static_cast<unsigned long long>(s.received),
-                    static_cast<unsigned long long>(s.emitted),
-                    100.0 * s.innovative / std::max<std::uint64_t>(1, s.received));
-      }
+      if (sim.find_vnf(v) == nullptr) continue;
+      const std::string p = "vnf.node." + std::to_string(v) + ".";
+      const std::uint64_t in = sim.metrics().counter_value(p + "received");
+      const std::uint64_t innovative =
+          sim.metrics().counter_value(p + "innovative");
+      std::printf("  relay %-14s in=%llu out=%llu innovative=%.1f%%\n",
+                  b.topo.node(v).name.c_str(),
+                  static_cast<unsigned long long>(in),
+                  static_cast<unsigned long long>(
+                      sim.metrics().counter_value(p + "emitted")),
+                  100.0 * innovative / std::max<std::uint64_t>(1, in));
     }
   }
 

@@ -7,7 +7,8 @@
 //     larger than the line count, plus a non-empty message;
 //   * an accepted scenario is internally consistent: every session's
 //     source/receivers and every failure/crash target is a node the
-//     topology actually contains.
+//     topology actually contains, and no ordered pair of nodes has two
+//     edges (the simulator builds one link per pair).
 #include <algorithm>
 #include <string>
 
@@ -37,6 +38,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const int n = sc->topo.node_count();
   fuzzing::check(static_cast<int>(sc->nodes.size()) == n,
                  "name map and topology must agree on node count");
+  for (int e = 0; e < sc->topo.edge_count(); ++e) {
+    const graph::EdgeInfo& ei = sc->topo.edge(e);
+    fuzzing::check(sc->topo.find_edge(ei.from, ei.to) == e,
+                   "an ordered pair of nodes has at most one edge");
+  }
   for (const auto& s : sc->sessions) {
     fuzzing::check(s.source >= 0 && s.source < n,
                    "session source must be a topology node");

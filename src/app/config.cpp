@@ -94,8 +94,16 @@ struct LineParser {
       }
     }
     const double cap_bps = cap_mbps > 0 ? cap_mbps * 1e6 : graph::kInf;
+    // One link per ordered pair: the simulator has no parallel links.
+    if (scenario.topo.find_edge(*f, *t) >= 0) {
+      return fail("duplicate edge " + from + " -> " + to);
+    }
     scenario.topo.add_edge(*f, *t, delay_ms / 1e3, cap_bps);
-    if (duplex) scenario.topo.add_edge(*t, *f, delay_ms / 1e3, cap_bps);
+    if (!duplex) return true;
+    if (scenario.topo.find_edge(*t, *f) >= 0) {
+      return fail("duplicate edge " + to + " -> " + from);
+    }
+    scenario.topo.add_edge(*t, *f, delay_ms / 1e3, cap_bps);
     return true;
   }
 

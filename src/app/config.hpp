@@ -21,6 +21,8 @@
 // Node references resolve by name; sessions may appear before or after
 // the nodes they reference are declared only if declared-before-use —
 // the parser is single-pass and reports the offending line on error.
+// An ordered pair of nodes has at most one edge: a second `edge`, or a
+// `duplex` over a direction that already has one, is an error.
 #pragma once
 
 #include <map>

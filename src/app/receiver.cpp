@@ -34,12 +34,7 @@ McReceiver::McReceiver(netsim::Network& net, netsim::NodeId node,
   });
 }
 
-void McReceiver::start() {
-  start_time_ = net_.sim().now();
-  if (cfg_.sample_interval_s > 0) {
-    net_.sim().schedule(cfg_.sample_interval_s, [this] { sample(); });
-  }
-}
+void McReceiver::start() { start_time_ = net_.sim().now(); }
 
 double McReceiver::goodput_mbps() const {
   // For a finished transfer, average over the actual transfer time, not
@@ -49,31 +44,6 @@ double McReceiver::goodput_mbps() const {
   const double elapsed = end - start_time_;
   if (elapsed <= 0) return 0.0;
   return static_cast<double>(stats_.payload_bytes) * 8.0 / elapsed / 1e6;
-}
-
-double McReceiver::windowed_goodput_mbps(double window_s) const {
-  if (samples_.empty()) return goodput_mbps();
-  const ThroughputSample& last = samples_.back();
-  // Find the sample at (or before) last.at_s - window_s.
-  std::uint64_t base_bytes = 0;
-  double base_t = start_time_;
-  for (const ThroughputSample& s : samples_) {
-    if (s.at_s + 1e-9 < last.at_s - window_s) {
-      base_bytes = s.cumulative_bytes;
-      base_t = s.at_s;
-    }
-  }
-  const double dt = last.at_s - base_t;
-  if (dt <= 0) return 0.0;
-  return static_cast<double>(last.cumulative_bytes - base_bytes) * 8.0 / dt /
-         1e6;
-}
-
-void McReceiver::sample() {
-  samples_.push_back(ThroughputSample{net_.sim().now(), stats_.payload_bytes});
-  if (!complete()) {
-    net_.sim().schedule(cfg_.sample_interval_s, [this] { sample(); });
-  }
 }
 
 void McReceiver::on_packet(coding::GenerationId gen, std::size_t /*rank*/,

@@ -36,8 +36,6 @@ struct ReceiverConfig {
   netsim::Port source_feedback_port = 40001;
   bool enable_repair = true;
   double repair_timeout_s = 0.25;  // from first packet of a generation
-  /// Periodic throughput sampling interval (0 = no time series).
-  double sample_interval_s = 0.0;
   /// Coding parameters and processing model of the decode function.
   vnf::VnfConfig vnf;
 };
@@ -51,11 +49,6 @@ struct ReceiverStats {
   netsim::Time completed_at = -1;  // all generations decoded
   /// Time from the last mark_disruption() to the next decoded generation.
   netsim::Time last_recovery_s = -1;
-};
-
-struct ThroughputSample {
-  netsim::Time at_s;
-  std::uint64_t cumulative_bytes;
 };
 
 class McReceiver {
@@ -74,8 +67,6 @@ class McReceiver {
   [[nodiscard]] bool complete() const { return stats_.completed_at >= 0; }
   /// Average goodput since start (Mbps).
   [[nodiscard]] double goodput_mbps() const;
-  /// Goodput over the trailing window ending at the latest sample (Mbps).
-  [[nodiscard]] double windowed_goodput_mbps(double window_s) const;
 
   /// Verify decoded generations against the synthetic provider's expected
   /// content (costs a regeneration per generation; used in tests).
@@ -103,7 +94,6 @@ class McReceiver {
                              const std::vector<std::vector<std::uint8_t>>& blocks);
   void on_packet(coding::GenerationId gen, std::size_t rank, bool complete);
   void arm_repair_timer(coding::GenerationId gen);
-  void sample();
 
   netsim::Network& net_;
   netsim::NodeId node_;
@@ -120,7 +110,6 @@ class McReceiver {
   std::map<coding::GenerationId, GenProgress> progress_;
   netsim::Time start_time_ = 0;
   ReceiverStats stats_;
-  std::vector<ThroughputSample> samples_;
   OrderedSink ordered_sink_;
   coding::GenerationId next_ordered_ = 0;
   std::map<coding::GenerationId, std::vector<std::uint8_t>> held_back_;

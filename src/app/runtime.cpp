@@ -115,7 +115,6 @@ void MulticastSession::add_receivers(SimNet& sim,
     rcfg.source_node = static_cast<std::uint32_t>(sim.node(spec.source));
     rcfg.source_feedback_port = session_feedback_port(spec.id);
     rcfg.repair_timeout_s = wiring.repair_timeout_s;
-    rcfg.sample_interval_s = wiring.sample_interval_s;
     rcfg.vnf = wiring.vnf;
     rcfg.vnf.seed = wiring.seed + static_cast<std::uint32_t>(r) * 733u + 5;
     receivers_.push_back(std::make_unique<McReceiver>(

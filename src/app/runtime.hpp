@@ -75,7 +75,6 @@ class SimNet {
 struct SessionWiring {
   int redundancy = 0;  // NC0/NC1/NC2
   double repair_timeout_s = 0.25;
-  double sample_interval_s = 1.0;
   /// Snap the plan's flows to whole packets per generation before wiring
   /// (ctrl::quantize_plan) — fractional per-generation quanta stall the
   /// decoder on a fraction of generations. Costs at most a few quanta of

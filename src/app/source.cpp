@@ -57,7 +57,8 @@ void McSource::reconfigure_hops(
   // With no old pacer, resume where the stream stopped.
   coding::GenerationId resume =
       pacers_.empty() ? idle_cursor_ : provider_.generation_count();
-  std::deque<Feedback> pending;
+  std::deque<Feedback> pending = std::move(parked_repairs_);
+  parked_repairs_.clear();
   for (Pacer& p : pacers_) {
     resume = std::min(resume, p.gen_cursor);
     for (const Feedback& fb : p.repair_queue) pending.push_back(fb);
@@ -66,8 +67,11 @@ void McSource::reconfigure_hops(
   ++pacer_epoch_;  // invalidate every tick scheduled against the old pacers
   configure_hops(std::move(hops));
   for (Pacer& p : pacers_) p.gen_cursor = resume;
-  // Outstanding repair work survives the rewire, spread round-robin.
-  if (!pacers_.empty()) {
+  // Outstanding repair work survives the rewire, spread round-robin, or
+  // stays parked until a rewire brings hops back.
+  if (pacers_.empty()) {
+    parked_repairs_ = std::move(pending);
+  } else {
     for (const Feedback& fb : pending) {
       pacers_[repair_rr_++ % pacers_.size()].repair_queue.push_back(fb);
     }
@@ -274,9 +278,9 @@ void McSource::on_feedback(const netsim::Datagram& d) {
 
   ++stats_.repair_requests;
   m_repair_requests_->inc();
-  if (pacers_.empty()) return;
 
   if (tree_mode_) {
+    if (pacers_.empty()) return;
     const std::size_t tree = schedule_[fb->generation % schedule_.size()];
     std::size_t pidx = 0;
     for (std::size_t i = 0; i < pacers_.size(); ++i) {
@@ -302,11 +306,16 @@ void McSource::on_feedback(const netsim::Datagram& d) {
       schedule_tick(pidx, pacers_[pidx].interval_s);
     }
   } else {
-    // Spread the requested coded packets across the pacers round-robin.
+    // Spread the requested coded packets across the pacers round-robin;
+    // with no hop, park them for the rewire that brings hops back.
     for (std::uint16_t c = 0; c < fb->count; ++c) {
-      const std::size_t pidx = repair_rr_++ % pacers_.size();
       Feedback one = *fb;
       one.block_mask = 0;
+      if (pacers_.empty()) {
+        parked_repairs_.push_back(one);
+        continue;
+      }
+      const std::size_t pidx = repair_rr_++ % pacers_.size();
       pacers_[pidx].repair_queue.push_back(one);
       if (!pacers_[pidx].running && started_) {
         pacers_[pidx].running = true;

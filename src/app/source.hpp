@@ -71,7 +71,8 @@ class McSource {
   /// resumes from the least-advanced old pacer (a little duplication on
   /// the fast edges beats losing a generation on the slow ones — coded
   /// duplicates are harmless) or, with none, where the stream stopped,
-  /// and stale pacer ticks are invalidated.
+  /// and stale pacer ticks are invalidated. Queued repair requests, and
+  /// those parked while the source had no hop, move to the new pacers.
   /// `lambda_mbps` > 0 adopts the re-solved session rate for the
   /// per-generation quotas.
   void reconfigure_hops(std::vector<std::pair<ctrl::NextHop, double>> hops,
@@ -131,8 +132,9 @@ class McSource {
   std::vector<Pacer> pacers_;
   std::uint64_t pacer_epoch_ = 0;  // bumped when pacers_ is rebuilt live
   // Stream position while no pacer runs: where a rewire that brings
-  // hops back resumes.
+  // hops back resumes. Repair requests received meanwhile wait here too.
   coding::GenerationId idle_cursor_ = 0;
+  std::deque<Feedback> parked_repairs_;
 
   // Generations being emitted, materialized on first use: the clock
   // generations and whatever repairs are being served.

@@ -30,7 +30,8 @@
 namespace ncfn::coding {
 
 /// One coded block: a linear combination of the blocks of one generation,
-/// tagged with the combination's coefficient vector.
+/// tagged with the combination's coefficient vector. Move-only, like the
+/// pooled buffer that holds it.
 struct CodedPacket {
   SessionId session = 0;
   GenerationId generation = 0;

@@ -45,30 +45,6 @@ PooledBuf& PooledBuf::operator=(PooledBuf&& o) noexcept {
   return *this;
 }
 
-PooledBuf::PooledBuf(const PooledBuf& o) : pool_(o.pool_) {
-  if (pool_ != nullptr) {
-    auto& st = pool_->stats;
-    ++st.acquires;
-    if (!pool_->free.empty() &&
-        pool_->free.back().capacity() >= o.store_.size()) {
-      store_ = std::move(pool_->free.back());
-      pool_->free.pop_back();
-      ++st.reuses;
-    } else {
-      ++st.heap_allocs;
-    }
-  }
-  store_.assign(o.store_.begin(), o.store_.end());
-}
-
-PooledBuf& PooledBuf::operator=(const PooledBuf& o) {
-  if (this != &o) {
-    PooledBuf copy(o);
-    *this = std::move(copy);
-  }
-  return *this;
-}
-
 PooledBuf::~PooledBuf() { detail::release_store(store_, pool_); }
 
 void PooledBuf::reset() noexcept {

@@ -47,16 +47,15 @@ struct PoolStats {
 
 class PacketPool;
 
-/// One recycled byte buffer. Movable; copy re-acquires from the same pool
-/// (or the heap for pool-less buffers) and copies the bytes. Returns its
-/// storage to the pool on destruction.
+/// One recycled byte buffer. Move-only: one owner returns its storage
+/// to the pool, on reset() or destruction.
 class PooledBuf {
  public:
   PooledBuf() = default;
   PooledBuf(PooledBuf&& o) noexcept = default;
   PooledBuf& operator=(PooledBuf&& o) noexcept;
-  PooledBuf(const PooledBuf& o);
-  PooledBuf& operator=(const PooledBuf& o);
+  PooledBuf(const PooledBuf&) = delete;
+  PooledBuf& operator=(const PooledBuf&) = delete;
   ~PooledBuf();
 
   [[nodiscard]] std::size_t size() const noexcept { return store_.size(); }

@@ -90,9 +90,7 @@ void Link::transmit(std::span<Datagram> burst) {
   // are already in propagation. Scheduled before the delivery event so
   // that at equal timestamps (zero-delay links) the queue shrinks before
   // delivery is observed...
-  sim.schedule_at(busy_until_, [self = weak_from_this(), n] {
-    if (auto link = self.lock()) link->departure(n);
-  });
+  sim.schedule_at(busy_until_, [this, n] { departure(n); });
 
   // ...and one delivery with a single jitter draw for the whole burst.
   Time deliver_at = busy_until_ + prop_delay_;
@@ -100,17 +98,9 @@ void Link::transmit(std::span<Datagram> burst) {
     deliver_at += std::uniform_real_distribution<Time>(0, jitter_)(net_.rng());
   }
   stats_.in_flight += n;
-  // Weak handle: if the link is replaced/removed while the burst is in
-  // flight, it evaporates instead of touching a dead Link. The Network
-  // itself outlives every event (it owns the Simulator).
-  sim.schedule_at(deliver_at, [self = weak_from_this(), net = &net_,
-                               epoch = down_epoch_,
+  sim.schedule_at(deliver_at, [this, epoch = down_epoch_,
                                pkts = std::move(committed)]() mutable {
-    if (auto link = self.lock()) {
-      link->complete_delivery(std::move(pkts), epoch);
-    } else {
-      for (Datagram& p : pkts) net->recycle_buffer(std::move(p.payload));
-    }
+    complete_delivery(std::move(pkts), epoch);
   });
 }
 
@@ -154,13 +144,15 @@ NodeId Network::add_node(std::string name) {
 }
 
 Link& Network::add_link(NodeId from, NodeId to, const LinkConfig& cfg) {
-  auto link = std::make_shared<Link>(*this, from, to, cfg);
-  link->bind_obs(*obs_);
-  auto& slot = links_[{from, to}];
-  // Replacing drops the last strong reference to any previous link; its
-  // in-flight delivery events hold weak handles and become no-ops.
-  slot = std::move(link);
-  return *slot;
+  auto [it, added] = links_.try_emplace({from, to});
+  if (!added) {
+    std::fprintf(stderr, "ncfn: Network::add_link: %u->%u already has a link\n",
+                 from, to);
+    std::abort();
+  }
+  it->second = std::make_unique<Link>(*this, from, to, cfg);
+  it->second->bind_obs(*obs_);
+  return *it->second;
 }
 
 void Network::set_obs(obs::Observability* obs) {

@@ -72,10 +72,10 @@ struct LinkStats {
 
 class Network;
 
-/// One directed link. Created and owned by Network (shared so that
-/// in-flight delivery events hold weak handles and survive the link
-/// being replaced or removed at runtime).
-class Link : public std::enable_shared_from_this<Link> {
+/// One directed link. Created and owned by Network, which holds it
+/// until the network itself goes, so in-flight departure and delivery
+/// events hold a plain pointer.
+class Link {
  public:
   Link(Network& net, NodeId from, NodeId to, const LinkConfig& cfg);
 
@@ -191,9 +191,8 @@ class Network {
   }
   [[nodiscard]] std::size_t node_count() const { return node_names_.size(); }
 
-  /// Add a directed link. Replaces any existing from→to link; packets in
-  /// flight on the replaced link evaporate (their delivery events hold a
-  /// weak handle that no longer resolves).
+  /// Add a directed link. A pair has at most one: aborts if from→to
+  /// already has a link.
   Link& add_link(NodeId from, NodeId to, const LinkConfig& cfg);
   /// Add a pair of symmetric links.
   void add_duplex_link(NodeId a, NodeId b, const LinkConfig& cfg);
@@ -259,7 +258,7 @@ class Network {
   Simulator sim_;
   std::mt19937 rng_;
   std::vector<std::string> node_names_;
-  std::map<std::pair<NodeId, NodeId>, std::shared_ptr<Link>> links_;
+  std::map<std::pair<NodeId, NodeId>, std::unique_ptr<Link>> links_;
   std::map<std::pair<NodeId, Port>, BurstHandler> handlers_;
   std::vector<std::vector<std::uint8_t>> buffer_pool_;
 };

@@ -156,12 +156,6 @@ void CodingVnf::resume() {
   }
 }
 
-const VnfSessionStats& CodingVnf::stats(coding::SessionId id) const {
-  static const VnfSessionStats kEmpty;
-  auto it = sessions_.find(id);
-  return it == sessions_.end() ? kEmpty : it->second.stats;
-}
-
 double CodingVnf::service_time() const {
   const auto& p = cfg_.params;
   const double work_bytes =
@@ -212,7 +206,6 @@ void CodingVnf::on_burst(std::span<netsim::Datagram> burst) {
     const std::size_t idx = lane_of(pkt->session, pkt->generation);
     Lane& lane = lanes_[idx];
     if (lane.queue.size() >= cfg_.proc_queue_limit) {
-      ++cached_state_->stats.proc_dropped;
       m_proc_dropped_->inc();
       continue;
     }
@@ -237,7 +230,7 @@ void CodingVnf::start_drain(std::size_t lane_idx) {
   const netsim::Time start = std::max(sim.now(), lane.busy_until);
   lane.busy_until = start + static_cast<double>(k) * service_time();
   lane.draining = true;
-  // Capture the lane by index, not reference: set_lanes() may reallocate
+  // Capture the lane by index, not reference: set_lanes() may shrink
   // lanes_ while this event is in flight.
   sim.schedule_at(lane.busy_until, [this, lane_idx, k, epoch = crash_epoch_] {
     drain(lane_idx, k, epoch);
@@ -287,10 +280,8 @@ void CodingVnf::run_pipeline(coding::PacketBatch& batch) {
   if (batch.empty()) return;
   m_batches_->inc();
   h_batch_size_->record(static_cast<double>(batch.size()));
-  in_pipeline_ = true;
   ingest_batch(batch);
   emit_batch(batch);
-  in_pipeline_ = false;
   batch.clear();
   flush_burst();
 }
@@ -315,8 +306,6 @@ void CodingVnf::ingest_batch(coding::PacketBatch& batch) {
       run_dec = nullptr;
     }
     if (run_st == nullptr) continue;  // session dropped while queued
-    SessionState& st = *run_st;
-    ++st.stats.received;
     ++received;
 
     if (run_dec == nullptr || pkt.generation != run_gen) {
@@ -330,7 +319,6 @@ void CodingVnf::ingest_batch(coding::PacketBatch& batch) {
     std::uint8_t m = 0;
     if (innov) {
       m |= kMetaInnovative;
-      ++st.stats.innovative;
       ++innovative;
     }
     if (first_of_generation && dec.rank() <= 1) m |= kMetaFirstUncoded;
@@ -372,7 +360,6 @@ void CodingVnf::emit_batch(coding::PacketBatch& batch) {
           if ((batch.meta(p) & kMetaCompletedNow) == 0 || !dec->complete()) {
             continue;
           }
-          ++st.stats.decoded_generations;
           m_decoded_->inc();
           if (sink_) {
             sink_(batch[p].session, batch[p].generation, dec->recover());
@@ -397,15 +384,7 @@ void CodingVnf::emit_batch(coding::PacketBatch& batch) {
             if ((batch.meta(p) & kMetaInnovative) == 0) continue;
             for (const ctrl::NextHop& hop : tr.hops_per_tree[tree]) {
               if (net_.link(node_, hop.node) == nullptr) continue;
-              netsim::Datagram d;
-              d.src = node_;
-              d.dst = hop.node;
-              d.dst_port = hop.port;
-              d.payload = net_.take_buffer();
-              batch[p].serialize_into(d.payload);
-              out_burst_.push_back(std::move(d));
-              ++st.stats.emitted;
-              m_emitted_->inc();
+              queue_send(hop, batch[p]);
             }
           }
         } else {
@@ -464,6 +443,7 @@ void CodingVnf::credit_run(SessionState& st, coding::PacketBatch& batch,
             net_.sim().schedule(cfg_.recode_hold_s,
                                 [this, session, gen] {
                                   flush_pending(session, gen);
+                                  flush_burst();
                                 });
           }
           continue;
@@ -474,15 +454,7 @@ void CodingVnf::credit_run(SessionState& st, coding::PacketBatch& batch,
           // Routing-only relays copy packets through; a recoding relay
           // also passes the very first packet of a generation unchanged
           // (Sec. III.B.2), since recoding one row is a scalar multiple.
-          netsim::Datagram d;
-          d.src = node_;
-          d.dst = st.hops[h].hop.node;
-          d.dst_port = st.hops[h].hop.port;
-          d.payload = net_.take_buffer();
-          batch[p].serialize_into(d.payload);
-          out_burst_.push_back(std::move(d));
-          ++st.stats.emitted;
-          m_emitted_->inc();
+          queue_send(st.hops[h].hop, batch[p]);
         } else {
           ++recode_counts_[h];
         }
@@ -516,15 +488,7 @@ void CodingVnf::emit_recoded_counts(SessionState& st, coding::Decoder& dec,
     recode_scratch_.clear();
     dec.recode_batch(rng_, k, recode_scratch_);
     for (std::size_t t = 0; t < k; ++t) {
-      netsim::Datagram d;
-      d.src = node_;
-      d.dst = st.hops[h].hop.node;
-      d.dst_port = st.hops[h].hop.port;
-      d.payload = net_.take_buffer();
-      recode_scratch_[t].serialize_into(d.payload);
-      out_burst_.push_back(std::move(d));
-      ++st.stats.emitted;
-      m_emitted_->inc();
+      queue_send(st.hops[h].hop, recode_scratch_[t]);
       m_recoded_->inc();
       trace_->vnf_recode(node_, dec.session(), dec.generation(), dec.rank());
       --left;
@@ -555,11 +519,22 @@ void CodingVnf::flush_pending(coding::SessionId session,
     emit_recoded_counts(st, *dec, recode_counts_);
   }
   lit->second.timer_armed = false;
-  flush_burst();
+}
+
+void CodingVnf::queue_send(const ctrl::NextHop& hop,
+                           const coding::CodedPacket& pkt) {
+  netsim::Datagram d;
+  d.src = node_;
+  d.dst = hop.node;
+  d.dst_port = hop.port;
+  d.payload = net_.take_buffer();
+  pkt.serialize_into(d.payload);
+  out_burst_.push_back(std::move(d));
+  m_emitted_->inc();
 }
 
 void CodingVnf::flush_burst() {
-  if (in_pipeline_ || out_burst_.empty()) return;
+  if (out_burst_.empty()) return;
   net_.send_burst(std::move(out_burst_));
   out_burst_.clear();
 }

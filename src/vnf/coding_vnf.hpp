@@ -114,14 +114,6 @@ struct TreeRouting {
   std::vector<std::vector<ctrl::NextHop>> hops_per_tree;  // this node's hops
 };
 
-struct VnfSessionStats {
-  std::uint64_t received = 0;
-  std::uint64_t innovative = 0;
-  std::uint64_t emitted = 0;
-  std::uint64_t proc_dropped = 0;  // arrivals dropped at a saturated lane
-  std::uint64_t decoded_generations = 0;
-};
-
 /// Decoded-generation sink: (session, generation, blocks, params).
 using DecodeSink = std::function<void(
     coding::SessionId, coding::GenerationId,
@@ -189,7 +181,6 @@ class CodingVnf {
   /// Observe every processed packet (used by receivers for repair timers).
   void set_packet_tap(PacketTap tap) { tap_ = std::move(tap); }
 
-  [[nodiscard]] const VnfSessionStats& stats(coding::SessionId id) const;
   [[nodiscard]] const VnfConfig& config() const { return cfg_; }
   /// Decoding state of a buffered generation, or nullptr.
   [[nodiscard]] coding::Decoder* find_decoder(coding::SessionId s,
@@ -216,7 +207,6 @@ class CodingVnf {
       bool timer_armed = false;
     };
     std::map<coding::GenerationId, GenLedger> ledger;
-    VnfSessionStats stats;
   };
   /// A lane is a batch server: arrivals queue here, and each service
   /// event drains up to cfg_.max_batch of them through the pipeline.
@@ -256,9 +246,11 @@ class CodingVnf {
   /// hops), generated through recode_batch in kBatchCapacity chunks.
   void emit_recoded_counts(SessionState& st, coding::Decoder& dec,
                            std::span<const std::size_t> counts);
+  /// Serialize `pkt` for `hop` onto out_burst_: every emission's one path.
+  void queue_send(const ctrl::NextHop& hop, const coding::CodedPacket& pkt);
+  /// Queue a generation's deferred emissions; the caller flushes.
   void flush_pending(coding::SessionId session, coding::GenerationId gen);
-  /// Hand the accumulated out_burst_ to the network (no-op inside the
-  /// pipeline, whose epilogue sends exactly once).
+  /// Hand the accumulated out_burst_ to the network.
   void flush_burst();
   [[nodiscard]] double service_time() const;
   [[nodiscard]] std::size_t lane_of(coding::SessionId s,
@@ -288,7 +280,8 @@ class CodingVnf {
   // the first packet of a run walks sessions_. Cleared on drop_session.
   coding::SessionId cached_session_ = 0;
   SessionState* cached_state_ = nullptr;
-  std::vector<Lane> lanes_;
+  // A deque: growing it neither moves nor copies the lanes' queues.
+  std::deque<Lane> lanes_;
   bool paused_ = false;
   bool crashed_ = false;
   // Bumped on every crash and reset: work admitted to a lane before it
@@ -306,7 +299,6 @@ class CodingVnf {
   std::vector<std::size_t> recode_counts_;  // per-hop counts in credit runs
   std::vector<char> hop_link_ok_;           // per-hop link cache per run
   std::vector<std::size_t> touched_lanes_;  // burst-arrival scratch
-  bool in_pipeline_ = false;
 };
 
 }  // namespace ncfn::vnf

@@ -267,6 +267,49 @@ TEST(Source, ServesRepairRequests) {
   EXPECT_EQ(src.stats().repair_packets_sent, 3u);
 }
 
+TEST(Source, KeepsRepairRequestsReceivedWithNoHop) {
+  // A re-solve can leave a running source no hop. A repair request that
+  // arrives meanwhile waits for the rewire that brings a hop back.
+  netsim::Network net(1);
+  const auto s = net.add_node("src");
+  const auto d = net.add_node("dst");
+  netsim::LinkConfig lc;
+  lc.capacity_bps = 1e9;
+  lc.prop_delay = 0.001;
+  net.add_duplex_link(s, d, lc);
+  coding::CodingParams params;
+  SyntheticProvider provider(1, 4 * params.generation_bytes(), params);
+  SourceConfig cfg;
+  cfg.params = params;
+  cfg.lambda_mbps = 80.0;
+  McSource src(net, s, provider, cfg);
+  src.configure_hops({});
+  int packets = 0;
+  net.bind(d, cfg.data_port, [&](const netsim::Datagram&) { ++packets; });
+  src.start();
+
+  Feedback fb;
+  fb.type = FeedbackType::kRepair;
+  fb.session = cfg.session;
+  fb.generation = 1;
+  fb.count = 2;
+  fb.receiver_node = d;
+  netsim::Datagram dg;
+  dg.src = d;
+  dg.dst = s;
+  dg.dst_port = cfg.feedback_port;
+  dg.payload = fb.serialize();
+  ASSERT_TRUE(net.send(std::move(dg)));
+  net.sim().run_until(1.0);
+  EXPECT_EQ(src.stats().repair_requests, 1u);
+  EXPECT_EQ(packets, 0);
+
+  src.reconfigure_hops({{ctrl::NextHop{d, cfg.data_port}, 80.0}});
+  net.sim().run_until(10.0);
+  EXPECT_EQ(src.stats().repair_packets_sent, 2u);
+  EXPECT_GT(packets, 2);  // the stream resumed after the repairs
+}
+
 // ---- Receiver verify and reassembly ----
 
 TEST(Receiver, VerifyComparesOnlyUnpaddedBytes) {

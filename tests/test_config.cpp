@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "app/config.hpp"
 #include "ctrl/problem.hpp"
@@ -112,11 +113,29 @@ TEST(Config, ErrorsCarryLineNumbers) {
       {"alpha banana\n", 1},                      // bad alpha
       {"node s host\nnode d host\n"
        "session 1 s -> d\nsession 1 s -> d\n", 4},  // duplicate session id
+      {"node a dc\nnode b dc\n"
+       "edge a b 5 10\nedge a b 5 20\n", 4},      // parallel edge
+      {"node a dc\nnode b dc\n"
+       "duplex a b 5 10\nedge b a 5 20\n", 4},    // edge after duplex
+      {"node a dc\nnode b dc\n"
+       "edge b a 5 10\nduplex a b 5 20\n", 4},    // duplex after edge
+      {"batch 0\n", 1},                           // batch below 1
+      {"batch 33\n", 1},                          // batch past capacity
+      {"batch 2.5\n", 1},                         // batch not an integer
   };
   for (const Case& c : cases) {
     ParseError err;
     EXPECT_FALSE(parse_scenario(c.text, &err).has_value()) << c.text;
     EXPECT_EQ(err.line, c.line) << c.text << " -> " << err.message;
+  }
+}
+
+TEST(Config, BatchAcceptsOneToThePacketBatchCapacity) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{32}}) {
+    ParseError err;
+    const auto s = parse_scenario("batch " + std::to_string(n) + "\n", &err);
+    ASSERT_TRUE(s.has_value()) << n << ": " << err.message;
+    EXPECT_EQ(s->max_batch, n);
   }
 }
 

@@ -87,27 +87,17 @@ TEST(LinkQueue, TailDropStillEnforcedAtTheSerializer) {
 }
 
 // ---------------------------------------------------------------------------
-// Link lifetime: replacing a link while packets are in flight must not
-// touch freed memory (the delivery events hold weak handles).
+// Link lifetime: the network owns one link per ordered pair for its whole
+// life (in-flight events hold a plain pointer), so a second link on a
+// pair is refused.
 // ---------------------------------------------------------------------------
 
-TEST(LinkLifetime, ReplaceLinkWithPacketsInFlightIsSafe) {
+TEST(LinkLifetimeDeathTest, AddLinkOnAnExistingPairAborts) {
   Network net = make_two_node_net(100e6, 0.5);
-  int delivered = 0;
-  net.bind(1, 9, [&](const Datagram&) { ++delivered; });
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(net.send(make_dgram(0, 1, 9, 200)));
-  net.sim().run_until(0.1);  // serialized, still propagating
-
-  LinkConfig lc;
-  lc.capacity_bps = 50e6;
-  lc.prop_delay = 0.001;
-  net.add_link(0, 1, lc);  // replaces the old link; old packets evaporate
-  net.sim().run_until(1.0);
-  EXPECT_EQ(delivered, 0);  // in-flight packets died with their link
-
-  ASSERT_TRUE(net.send(make_dgram(0, 1, 9, 200)));
-  net.sim().run();
-  EXPECT_EQ(delivered, 1);  // the replacement link works
+  net.add_link(1, 0, LinkConfig{});  // the reverse direction is its own pair
+  EXPECT_NE(net.link(1, 0), nullptr);
+  EXPECT_DEATH(net.add_link(0, 1, LinkConfig{}),
+               "Network::add_link: 0->1 already has a link");
 }
 
 // ---------------------------------------------------------------------------
@@ -406,8 +396,13 @@ TEST(FaultEndToEnd, IdenticalSeedsAreByteIdentical) {
 
 namespace {
 
+struct DiamondRun {
+  std::vector<app::ReceiverReport> rows;
+  std::string metrics;  // the merged registry as JSON
+};
+
 /// Plans the diamond plus `extra` lines and runs it for 5 s at seed 7.
-std::vector<app::ReceiverReport> run_diamond(const std::string& extra) {
+DiamondRun run_diamond(const std::string& extra) {
   app::ParseError err;
   const auto scenario = app::parse_scenario(kDiamond + extra, &err);
   EXPECT_TRUE(scenario.has_value()) << err.message;
@@ -423,7 +418,15 @@ std::vector<app::ReceiverReport> run_diamond(const std::string& extra) {
   opts.duration_s = 5.0;
   app::ScenarioRun run(*scenario, plan, opts);
   run.run();
-  return run.reports();
+  return DiamondRun{run.reports(), run.metrics_json()};
+}
+
+/// The integer that follows `prefix` in `json`, or -1 if it is absent.
+long long json_integer_after(const std::string& json,
+                             const std::string& prefix) {
+  const std::size_t at = json.find(prefix);
+  if (at == std::string::npos) return -1;
+  return std::stoll(json.substr(at + prefix.size()));
 }
 
 }  // namespace
@@ -432,10 +435,11 @@ TEST(FaultEndToEnd, SourceResumesWhenItsHopsComeBack) {
   // A->R is down over [0.5, 1.5) s and B->R over [0.6, 1.1) s, so the
   // re-solve at 0.6 s leaves the source no hop. When B->R comes back the
   // source must resume where it stopped, not past the end of its data.
-  const auto rows = run_diamond(
+  const DiamondRun run = run_diamond(
       "session 1 S -> R lmax=500 maxrate=150\n"
       "fail A R at=0.5 for=1\n"
       "fail B R at=0.6 for=0.5\n");
+  const auto& rows = run.rows;
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].verify_failures, 0u);
   // About 0.6 s of data reaches R if the source stops at 0.6 s.
@@ -445,11 +449,30 @@ TEST(FaultEndToEnd, SourceResumesWhenItsHopsComeBack) {
 TEST(FaultEndToEnd, ZeroRateSessionRunsToTheEnd) {
   // lmax = 1 ms admits no path: the plan gives the session no rate, so
   // its source has no hop. It idles, and the run ends normally.
-  const auto rows = run_diamond("session 1 S -> R lmax=1 maxrate=150\n");
+  const DiamondRun run = run_diamond("session 1 S -> R lmax=1 maxrate=150\n");
+  const auto& rows = run.rows;
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].planned_mbps, 0.0);
   EXPECT_EQ(rows[0].goodput_mbps, 0.0);
   EXPECT_EQ(rows[0].verify_failures, 0u);
+}
+
+TEST(FaultEndToEnd, RelayCrashUnderTrafficDropsAndRecovers) {
+  // diamond_fault without its link outage: the plan sends half the
+  // session through A, so A's crash at 0.6 s drops arrivals and starts
+  // the receiver's recovery clock, and what R decodes still verifies.
+  const DiamondRun run = run_diamond(
+      "session 1 S -> R lmax=500 maxrate=150\n"
+      "crash A at=0.6 for=0.4\n");
+  ASSERT_EQ(run.rows.size(), 1u);
+  EXPECT_EQ(run.rows[0].verify_failures, 0u);
+  EXPECT_GT(run.rows[0].goodput_mbps, 0.0);
+  EXPECT_GT(json_integer_after(run.metrics,
+                               "\"vnf.node.1.crash_dropped\":"),
+            0);
+  EXPECT_GE(json_integer_after(run.metrics,
+                               "\"app.recovery_time_s\":{\"count\":"),
+            1);
 }
 
 // ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ SessionWiring default_wiring(const coding::CodingParams& params) {
   SessionWiring w;
   w.vnf.params = params;
   w.repair_timeout_s = 0.3;
-  w.sample_interval_s = 1.0;
   return w;
 }
 

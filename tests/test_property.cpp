@@ -54,10 +54,16 @@ graph::Topology random_overlay(std::mt19937& rng, int n_dcs,
       }
     }
   }
-  t.add_edge(dcs[static_cast<std::size_t>(pick(rng))], dst1, delay(rng), cap(rng));
-  t.add_edge(dcs[static_cast<std::size_t>(n_dcs - 1)], dst1, delay(rng), cap(rng));
-  t.add_edge(dcs[static_cast<std::size_t>(pick(rng))], dst2, delay(rng), cap(rng));
-  t.add_edge(dcs[0], dst2, delay(rng), cap(rng));
+  // An ordered pair has at most one edge (the simulator has one link per
+  // pair): a receiver edge drawn twice is added once.
+  const auto add_once = [&t](graph::NodeIdx from, graph::NodeIdx to,
+                             double delay_s, double capacity_bps) {
+    if (t.find_edge(from, to) < 0) t.add_edge(from, to, delay_s, capacity_bps);
+  };
+  add_once(dcs[static_cast<std::size_t>(pick(rng))], dst1, delay(rng), cap(rng));
+  add_once(dcs[static_cast<std::size_t>(n_dcs - 1)], dst1, delay(rng), cap(rng));
+  add_once(dcs[static_cast<std::size_t>(pick(rng))], dst2, delay(rng), cap(rng));
+  add_once(dcs[0], dst2, delay(rng), cap(rng));
   return t;
 }
 }  // namespace

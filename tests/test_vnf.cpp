@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "app/provider.hpp"
 #include "coding/encoder.hpp"
@@ -53,6 +54,12 @@ struct Rig {
     d.payload = pkt.serialize();
     ASSERT_TRUE(net.send(std::move(d)));
   }
+
+  /// The relay node's VNF counter vnf.node.<relay>.<name>.
+  [[nodiscard]] std::uint64_t relay_count(const std::string& name) const {
+    return net.obs()->metrics.counter_value(
+        "vnf.node." + std::to_string(relay) + "." + name);
+  }
 };
 
 }  // namespace
@@ -67,7 +74,7 @@ TEST(CodingVnf, RecodeRelayEmitsOnePacketPerArrival) {
   rig.net.bind(rig.dst, 9000, [&](const netsim::Datagram& d) {
     auto pkt = coding::CodedPacket::parse(d.payload, rig.params);
     ASSERT_TRUE(pkt.has_value());
-    received.push_back(*pkt);
+    received.push_back(std::move(*pkt));
   });
 
   std::mt19937 rng(5);
@@ -79,8 +86,8 @@ TEST(CodingVnf, RecodeRelayEmitsOnePacketPerArrival) {
   rig.net.sim().run();
 
   EXPECT_EQ(received.size(), 6u);
-  EXPECT_EQ(relay.stats(1).received, 6u);
-  EXPECT_EQ(relay.stats(1).emitted, 6u);
+  EXPECT_EQ(rig.relay_count("received"), 6u);
+  EXPECT_EQ(rig.relay_count("emitted"), 6u);
   // Downstream decoder completes from the recoded stream.
   coding::Decoder dec(1, 0, rig.params);
   for (const auto& p : received) dec.add(p);
@@ -135,7 +142,7 @@ TEST(CodingVnf, IngressDropsAllZeroCoefficientVectors) {
   rig.send_packet(empty, 9000);
   rig.net.sim().run();
   EXPECT_TRUE(received.empty());
-  EXPECT_EQ(relay.stats(1).received, 0u);
+  EXPECT_EQ(rig.relay_count("received"), 0u);
   EXPECT_EQ(relay.find_decoder(1, 0), nullptr);
 
   // A valid packet after them opens the generation as usual: it passes
@@ -153,7 +160,7 @@ TEST(CodingVnf, IngressDropsAllZeroCoefficientVectors) {
   ASSERT_EQ(received.size(), 2u);
   EXPECT_TRUE(std::ranges::equal(received[0].coeffs(), first.coeffs()));
   EXPECT_FALSE(std::ranges::equal(received[1].coeffs(), second.coeffs()));
-  EXPECT_EQ(relay.stats(1).received, 2u);
+  EXPECT_EQ(rig.relay_count("received"), 2u);
   EXPECT_EQ(relay.find_decoder(1, 0)->rank(), 2u);
 }
 
@@ -198,7 +205,7 @@ TEST(CodingVnf, DecodeRoleDeliversBlocksToSink) {
     EXPECT_EQ(got[i], std::vector<std::uint8_t>(gen.block(i).begin(),
                                                 gen.block(i).end()));
   }
-  EXPECT_EQ(dec_vnf.stats(1).decoded_generations, 1u);
+  EXPECT_EQ(rig.relay_count("decoded_generations"), 1u);
 }
 
 namespace {
@@ -291,7 +298,7 @@ TEST(CodingVnf, DecodeRoleReleasesDeliveredGenerations) {
   EXPECT_EQ(vnf.buffer().evictions(), kGens - 8);
   ASSERT_EQ(deliveries.size(), kGens);
   for (const auto& [gen, n] : deliveries) EXPECT_EQ(n, 1) << gen;
-  EXPECT_EQ(vnf.stats(1).decoded_generations, kGens);
+  EXPECT_EQ(rig.relay_count("decoded_generations"), kGens);
 
   // A late duplicate of a delivered, still-buffered generation.
   const coding::GenerationId late = kGens - 2;
@@ -299,12 +306,13 @@ TEST(CodingVnf, DecodeRoleReleasesDeliveredGenerations) {
   ASSERT_NE(dec, nullptr);
   EXPECT_TRUE(dec->released());
   const std::size_t seen = dec->packets_seen();
-  const VnfSessionStats before = vnf.stats(1);
+  const std::uint64_t received = rig.relay_count("received");
+  const std::uint64_t innovative = rig.relay_count("innovative");
   rig.send_packet(stream.packets[late][0], 9000);
   rig.net.sim().run();
-  EXPECT_EQ(vnf.stats(1).received, before.received + 1);
-  EXPECT_EQ(vnf.stats(1).innovative, before.innovative);
-  EXPECT_EQ(vnf.stats(1).decoded_generations, kGens);
+  EXPECT_EQ(rig.relay_count("received"), received + 1);
+  EXPECT_EQ(rig.relay_count("innovative"), innovative);
+  EXPECT_EQ(rig.relay_count("decoded_generations"), kGens);
   EXPECT_EQ(deliveries[late], 1);
   EXPECT_EQ(dec->packets_seen(), seen + 1);
   EXPECT_EQ(dec->rank(), g);
@@ -363,7 +371,7 @@ TEST(CodingVnf, SwitchFromDecodeNeverRecodesReleasedGenerations) {
   for (coding::GenerationId gen = 0; gen <= kGens; ++gen) {
     send_step(rig, stream, gen, 9000);
   }
-  ASSERT_EQ(vnf.stats(1).decoded_generations, kGens);
+  ASSERT_EQ(rig.relay_count("decoded_generations"), kGens);
   ASSERT_TRUE(vnf.find_decoder(1, 2)->released());
 
   // The session becomes a relay: its delivered generations are dropped,
@@ -412,7 +420,7 @@ TEST(CodingVnf, SwitchToDecodeDropsHeldRecodesOfDeliveredGenerations) {
     rig.send_packet(stream.packets[0][k], 9000);
   }
   rig.net.sim().run();
-  EXPECT_EQ(vnf.stats(1).decoded_generations, 1u);
+  EXPECT_EQ(rig.relay_count("decoded_generations"), 1u);
   EXPECT_TRUE(vnf.find_decoder(1, 0)->released());
   EXPECT_EQ(sent_on, 0);
 }
@@ -486,8 +494,8 @@ TEST(CodingVnf, ProcessingLaneSaturationDropsPackets) {
   coding::Encoder enc(1, gen, rng);
   for (int i = 0; i < 50; ++i) rig.send_packet(enc.encode_random(), 9000);
   rig.net.sim().run();
-  EXPECT_GT(relay.stats(1).proc_dropped, 0u);
-  EXPECT_LT(relay.stats(1).received, 50u);
+  EXPECT_GT(rig.relay_count("proc_dropped"), 0u);
+  EXPECT_LT(rig.relay_count("received"), 50u);
 }
 
 TEST(CodingVnf, MoreLanesRaiseThroughput) {
@@ -523,6 +531,46 @@ TEST(CodingVnf, MoreLanesRaiseThroughput) {
   const double t1 = run_with_lanes(1);
   const double t4 = run_with_lanes(4);
   EXPECT_LT(t4, t1 * 0.75);
+}
+
+TEST(CodingVnf, GrowingLanesReshardsQueuedPacketsOnce) {
+  // A slow lane holds a backlog when the lane count grows: the queued
+  // packets move to the lanes their generations hash to, and each is
+  // ingested exactly once.
+  Rig rig;
+  VnfConfig cfg = rig.vnf_config();
+  cfg.proc_rate_Bps = 1e5;  // ~5 ms of lane time per packet
+  cfg.fixed_overhead_s = 0.0;
+  const coding::GenerationId kGens = 8;
+  const CodedStream stream(rig.params, kGens);
+  CodingVnf vnf(rig.net, rig.relay, cfg);
+  vnf.configure_session(1, VnfRole::kDecode, 9000);
+  std::map<coding::GenerationId, int> deliveries;
+  vnf.set_decode_sink([&](coding::SessionId, coding::GenerationId gen,
+                          std::vector<std::vector<std::uint8_t>>) {
+    ++deliveries[gen];
+  });
+  std::size_t sent = 0;
+  for (const auto& pkts : stream.packets) {
+    for (const coding::CodedPacket& pkt : pkts) {
+      rig.send_packet(pkt, 9000);
+      ++sent;
+    }
+  }
+  // Every packet has arrived; the first is still in service.
+  rig.net.sim().run_until(0.002);
+  ASSERT_EQ(rig.relay_count("received"), 0u);
+  vnf.set_lanes(4);
+  rig.net.sim().run();
+
+  EXPECT_EQ(rig.relay_count("received"), sent);
+  ASSERT_EQ(deliveries.size(), kGens);
+  for (const auto& [gen, n] : deliveries) EXPECT_EQ(n, 1) << gen;
+  for (coding::GenerationId gen = 0; gen < kGens; ++gen) {
+    const coding::Decoder* dec = vnf.find_decoder(1, gen);
+    ASSERT_NE(dec, nullptr) << gen;
+    EXPECT_EQ(dec->packets_seen(), stream.packets[gen].size()) << gen;
+  }
 }
 
 TEST(CodingVnf, PauseBuffersAndResumeFlushes) {
@@ -635,7 +683,7 @@ TEST(CodingVnf, MalformedDatagramIsIgnored) {
   d.payload = {1, 2, 3};  // not a coded packet
   ASSERT_TRUE(rig.net.send(std::move(d)));
   rig.net.sim().run();
-  EXPECT_EQ(relay.stats(1).received, 0u);
+  EXPECT_EQ(rig.relay_count("received"), 0u);
 }
 
 // ---- Daemon ----
@@ -705,7 +753,7 @@ TEST(Daemon, SettingsChangeWithWorkInFlight) {
   });
   rig.net.sim().run();
   EXPECT_EQ(daemon.vnf().config().params.block_size, doubled.block_size);
-  EXPECT_EQ(daemon.vnf().stats(1).received, 0u);
+  EXPECT_EQ(rig.relay_count("received"), 0u);
   EXPECT_EQ(received, 0);
 
   const auto second =
@@ -714,7 +762,7 @@ TEST(Daemon, SettingsChangeWithWorkInFlight) {
   coding::Encoder enc2(1, second, rng);
   rig.send_packet(enc2.encode_random(), 9000);
   rig.net.sim().run();
-  EXPECT_EQ(daemon.vnf().stats(1).received, 1u);
+  EXPECT_EQ(rig.relay_count("received"), 1u);
   EXPECT_EQ(received, 1);
 }
 
